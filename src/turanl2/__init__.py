@@ -30,7 +30,6 @@ from .colored import (
     ColoredGraph,
     EquivalenceClasses,
     FactsReport,
-    Partition3,
     build_lambda,
     check_symmetrized_facts,
     class_symmetrize,
@@ -47,6 +46,7 @@ from .colored import (
 )
 from .constructions import (
     Composition3,
+    Partition3,
     balancedness_sweep,
     build_b,
     build_balanced_c,

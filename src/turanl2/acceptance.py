@@ -24,6 +24,7 @@ from .colored import (
 )
 from .constructions import (
     ACCEPTANCE_GAIN_FAMILIES,
+    Partition3,
     balancedness_sweep,
     build_balanced_c,
     build_c,
@@ -162,8 +163,6 @@ def criterion_5_simplex(resolution: int = 200, width: Fraction = Fraction(1, 10*
 def criterion_6_toggle_exactness(trials: int = 5_000, seed: int = DEFAULT_SEED) -> CriterionResult:
     t0 = time.monotonic()
     rng = random.Random(seed + 6)
-    from .colored import Partition3
-
     for i in range(trials):
         n = rng.randint(4, 30)
         h = random_three_graph(rng, n, rng.random() * 0.25)

@@ -19,14 +19,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .colored import (
-    CYCLIC_TRIANGLE_TYPES,
-    ColoredGraph,
+from .colored import ColoredGraph, build_lambda, graph_l2_norm
+from .constructions import (
+    Composition3,
     Partition3,
-    build_lambda,
-    graph_l2_norm,
+    build_c,
+    c_l2_closed,
+    compositions_of,
+    cyclic_triples,
 )
-from .constructions import Composition3, build_c, c_l2_closed, compositions_of
 from .errors import SizeLimitExceeded
 from .hypergraph import (
     ThreeGraph,
@@ -237,13 +238,10 @@ def _mantel_setup(n: int):
     color = [1] * n + [2] * n + [3] * n
     pairs = list(itertools.combinations(range(big_n), 2))
     pair_index = {p: i for i, p in enumerate(pairs)}
-    cyclic_masks = []
-    for t in itertools.combinations(range(big_n), 3):
-        if tuple(sorted(color[v] for v in t)) in CYCLIC_TRIANGLE_TYPES:
-            a, b, c = t
-            cyclic_masks.append(
-                1 << pair_index[(a, b)] | 1 << pair_index[(a, c)] | 1 << pair_index[(b, c)]
-            )
+    cyclic_masks = [
+        1 << pair_index[(a, b)] | 1 << pair_index[(a, c)] | 1 << pair_index[(b, c)]
+        for a, b, c in cyclic_triples(color)
+    ]
     return big_n, color, pairs, cyclic_masks
 
 

@@ -11,13 +11,12 @@ hypothesis checklists of the two local-improvement operators.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .colored import Partition3, next_part
+from .constructions import CYCLIC_TABLE, Partition3, construction, next_part
 from .errors import (
     EdgeNotCrossing,
     EdgeNotInShadow,
@@ -33,52 +32,14 @@ FAMILY_IDS = ("B", "M", "B_int", "B_bi", "M_tri", "M_bi")
 EXHAUSTIVE_PARTITION_CAP = 12
 
 
-# A few construction edge sets are cached (they are large and the improvement
-# drivers reuse one partition across many calls).
-_CONSTRUCTION_CACHE: dict[tuple[int, ...], frozenset] = {}
-
-
 def construction_edges(p: Partition3) -> frozenset[Triple]:
     """Edges of the cyclic construction on an arbitrary (relabeled) partition."""
-    cached = _CONSTRUCTION_CACHE.get(p.parts)
-    if cached is not None:
-        return cached
-    sets = p.part_sets()
-    edges: list[Triple] = []
-    edges.extend(
-        tuple(sorted(t)) for t in itertools.product(sets[0], sets[1], sets[2])
-    )
-    for i in (1, 2, 3):
-        src = sets[i - 1]
-        dst = sets[next_part(i) - 1]
-        for a, b in itertools.combinations(sorted(src), 2):
-            for w in dst:
-                edges.append(tuple(sorted((a, b, w))))
-    result = frozenset(edges)
-    if len(_CONSTRUCTION_CACHE) >= 4:
-        _CONSTRUCTION_CACHE.clear()
-    _CONSTRUCTION_CACHE[p.parts] = result
-    return result
-
-
-def edge_profile(t: Triple, p: Partition3) -> tuple[int, int, int]:
-    prof = [0, 0, 0]
-    for v in t:
-        prof[p.part_of(v) - 1] += 1
-    return tuple(prof)
+    return construction(p).edge_set
 
 
 def is_construction_edge(t: Triple, p: Partition3) -> bool:
-    parts = sorted(p.part_of(v) for v in t)
-    if parts == [1, 2, 3]:
-        return True
-    if parts[0] == parts[1] == parts[2]:
-        return False
-    if parts[0] == parts[1]:
-        # two in parts[0], one in parts[2]
-        return parts[2] == next_part(parts[0])
-    # two in parts[1], one in parts[0]
-    return parts[0] == next_part(parts[1])
+    a, b, c = t
+    return CYCLIC_TABLE[9 * p.part_of(a) + 3 * p.part_of(b) + p.part_of(c) - 13]
 
 
 @dataclass(frozen=True)
@@ -122,13 +83,10 @@ def classify_edges(h: ThreeGraph, p: Partition3) -> EdgeClassification:
     cons = construction_edges(p)
     b = frozenset(h.edge_set - cons)
     m = frozenset(cons - h.edge_set)
-    b_int = frozenset(
-        t for t in b if p.part_of(t[0]) == p.part_of(t[1]) == p.part_of(t[2])
-    )
+    parts = p.parts
+    b_int = frozenset(t for t in b if parts[t[0]] == parts[t[1]] == parts[t[2]])
     m_tri = frozenset(
-        t
-        for t in m
-        if {p.part_of(t[0]), p.part_of(t[1]), p.part_of(t[2])} == {1, 2, 3}
+        t for t in m if {parts[t[0]], parts[t[1]], parts[t[2]]} == {1, 2, 3}
     )
     return EdgeClassification(
         h=h,
@@ -188,17 +146,9 @@ def _vertex_contribution(h: ThreeGraph, parts: list[int], v: int, part: int) -> 
     """Edges through v that would lie in the construction if v sat in ``part``."""
     count = 0
     for t in h.edges:
-        if v not in t:
-            continue
-        others = [x for x in t if x != v]
-        pa, pb = parts[others[0]], parts[others[1]]
-        prof = sorted((pa, pb, part))
-        if prof == [1, 2, 3]:
-            count += 1
-        elif prof[0] == prof[1] and prof[2] == next_part(prof[0]):
-            count += 1
-        elif prof[1] == prof[2] and prof[0] == next_part(prof[1]):
-            count += 1
+        if v in t:
+            x, y = (w for w in t if w != v)
+            count += CYCLIC_TABLE[9 * parts[x] + 3 * parts[y] + part - 13]
     return count
 
 
@@ -259,15 +209,8 @@ def _optimize_exhaustive(h: ThreeGraph) -> tuple[Partition3, int]:
         for part in (1, 2, 3):
             assign[v] = part
             gained = 0
-            for t in by_last[v]:
-                pa, pb, pc = assign[t[0]], assign[t[1]], part
-                prof = sorted((pa, pb, pc))
-                if prof == [1, 2, 3]:
-                    gained += 1
-                elif prof[0] == prof[1] and prof[2] == next_part(prof[0]):
-                    gained += 1
-                elif prof[1] == prof[2] and prof[0] == next_part(prof[1]):
-                    gained += 1
+            for a, b, _ in by_last[v]:
+                gained += CYCLIC_TABLE[9 * assign[a] + 3 * assign[b] + part - 13]
             dfs(v + 1, score + gained)
         assign[v] = 0
 
@@ -306,13 +249,14 @@ def _optimize_vertex_moves(
 def link_move_inequalities(h: ThreeGraph, p: Partition3, v: int) -> tuple[bool, bool]:
     """The two link edge-count inequalities stating that moving ``v`` to either
     other part does not increase the construction overlap."""
+    if p.n != h.n:
+        raise PartitionMismatch(f"partition covers {p.n} vertices, graph has {h.n}")
     here = p.part_of(v)
     j, k = next_part(here), next_part(next_part(here))
-    lk = link(h, v)
-    sets = p.part_sets()
+    parts = p.parts
     counts: Counter = Counter()
-    for a, b in lk.edges:
-        counts[tuple(sorted((p.part_of(a), p.part_of(b))))] += 1
+    for a, b in link(h, v).edges:
+        counts[tuple(sorted((parts[a], parts[b])))] += 1
 
     def cnt(x, y):
         return counts.get(tuple(sorted((x, y))), 0)

@@ -10,7 +10,6 @@ seed and configuration are echoed in every JSON header.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -44,14 +43,7 @@ from .inequality import certify_simplex_inequality, verify_simplex_inequality
 from .util import dump_json, parse_fraction
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("TURANL2_WORKERS")
-    return int(env) if env else 1
-
-
-def _emit(args, payload: dict, default_name: str) -> None:
+def _emit(args, payload: dict) -> None:
     text = dump_json(payload) + "\n"
     if args.output:
         Path(args.output).with_suffix(".json").write_text(text)
@@ -67,7 +59,7 @@ def _header(args, **extra) -> dict:
 def cmd_construct(args) -> int:
     out = Path(args.output) if args.output else None
     if args.sweep is not None:
-        csv = sweep_csv(args.sweep, workers=_workers(args))
+        csv = sweep_csv(args.sweep)
         if out:
             out.with_suffix(".csv").write_text(csv)
         else:
@@ -112,7 +104,7 @@ def cmd_norm(args) -> int:
         identity_rhs=2 * s2 + 3 * len(h.edges),
         identity_holds=identity_ok,
     )
-    _emit(args, payload, "norm")
+    _emit(args, payload)
     return 0 if identity_ok else 1
 
 
@@ -133,7 +125,7 @@ def cmd_classify(args) -> int:
             for fam in ("B", "M", "B_int", "B_bi", "M_tri", "M_bi")
         },
     )
-    _emit(args, payload, "classify")
+    _emit(args, payload)
     return 0
 
 
@@ -144,7 +136,7 @@ def cmd_improve(args) -> int:
         h, p, parse_fraction(args.delta4), order_seed=args.seed if args.shuffle else None
     )
     payload = _header(args, **trace.to_json_dict())
-    _emit(args, payload, "improve")
+    _emit(args, payload)
     if args.output:
         save_h3(trace.final, Path(args.output).with_suffix(".h3"))
         Path(args.output).with_suffix(".jsonl").write_text(trace.to_json_lines() + "\n")
@@ -167,7 +159,7 @@ def cmd_census(args) -> int:
     else:
         raise TuranL2Error(f"unknown problem {problem!r}")
     payload = _header(args, **report.to_json_dict())
-    _emit(args, payload, "census")
+    _emit(args, payload)
     sys.stderr.write(
         f"# {problem} n={args.n}: optimum={report.optimum} "
         f"iso_classes={report.iso_classes} nodes={report.nodes_explored} "
@@ -207,7 +199,7 @@ def cmd_mantel(args) -> int:
         args.n, args.objective, mode=args.mode, class_cap=args.class_cap
     )
     payload = _header(args, **report.to_json_dict())
-    _emit(args, payload, "mantel")
+    _emit(args, payload)
     ok = report.optimum >= report.reference_value
     if args.objective == "edges":
         ok = ok and report.extra.get("edge_bound_holds", True)
@@ -227,7 +219,7 @@ def cmd_symmetrize(args) -> int:
         cyclic_triangle_free_out=is_cyclic_triangle_free(out),
         facts=facts.to_json_dict(),
     )
-    _emit(args, payload, "symmetrize")
+    _emit(args, payload)
     if args.output:
         save_cg(out, Path(args.output).with_suffix(".cg"))
     if is_cyclic_triangle_free(cg):
@@ -246,7 +238,7 @@ def cmd_ineq(args) -> int:
         cert = certify_simplex_inequality(parse_fraction(args.width))
         payload["certificate"] = cert.to_json_dict()
         ok = ok and cert.certified
-    _emit(args, payload, "ineq")
+    _emit(args, payload)
     return 0 if ok else 1
 
 
@@ -265,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    common.add_argument("--workers", type=int, default=None)
     common.add_argument("--json", action="store_true", help="print JSON to stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -328,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = add("check", "run the acceptance battery")
     c.add_argument("--suite", default="all", help="'all' or comma-separated criterion numbers")
-    c.add_argument("--n-max", type=int, default=None, help="accepted for compatibility; criteria pin their own scales")
     c.add_argument("--quick", action="store_true", help="shrunk trial counts for a smoke run")
     c.set_defaults(fn=cmd_check)
     return parser

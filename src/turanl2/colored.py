@@ -7,7 +7,9 @@ degree-sum bounds along directed paths.
 
 Parts are numbered 1, 2, 3 and all part arithmetic is cyclic (after 3 comes
 1).  A triangle on colors (i, i, i+1) or (1, 2, 3) is "cyclic"; a colored
-graph is cyclically triangle-free when it has no such triangle.
+graph is cyclically triangle-free when it has no such triangle.  The part
+labels, ``Partition3`` and the cyclic types are those of the construction
+model in ``constructions``; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -17,8 +19,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
+from .constructions import (
+    CYCLIC_TABLE,
+    CYCLIC_TRIANGLE_TYPES,
+    Partition3,
+    next_part,
+    prev_part,
+)
 from .errors import (
     CrossPartClasses,
     MalformedPath,
@@ -29,84 +38,6 @@ from .errors import (
     TooFewVertices,
 )
 from .hypergraph import Graph, check_vertex, graph_l2_norm, make_pair_graph
-
-# Triangle color multisets that count toward rho3.
-CYCLIC_TRIANGLE_TYPES = frozenset({(1, 2, 3), (1, 1, 2), (2, 2, 3), (1, 3, 3)})
-
-
-def next_part(i: int) -> int:
-    return 1 + (i % 3)
-
-
-def prev_part(i: int) -> int:
-    return 1 + ((i + 1) % 3)
-
-
-class Partition3:
-    """Assignment of every vertex to one of the parts 1, 2, 3."""
-
-    __slots__ = ("parts", "_sets")
-
-    def __init__(self, parts: Sequence[int]):
-        parts = tuple(parts)
-        for c in parts:
-            if c not in (1, 2, 3):
-                raise PartitionMismatch(f"part labels must be 1, 2, or 3; got {c}")
-        self.parts = parts
-        self._sets: Optional[tuple[frozenset[int], ...]] = None
-
-    @classmethod
-    def from_string(cls, s: str) -> "Partition3":
-        try:
-            return cls(tuple(int(ch) for ch in s.strip()))
-        except ValueError as exc:
-            raise PartitionMismatch(f"bad color string {s!r}") from exc
-
-    @classmethod
-    def from_sizes(cls, n1: int, n2: int, n3: int) -> "Partition3":
-        """Label ranges: [0,n1) -> 1, [n1,n1+n2) -> 2, rest -> 3."""
-        return cls((1,) * n1 + (2,) * n2 + (3,) * n3)
-
-    @classmethod
-    def balanced(cls, n: int) -> "Partition3":
-        """As equal as possible by ascending label."""
-        n1 = (n + 2) // 3
-        n2 = (n + 1) // 3
-        return cls.from_sizes(n1, n2, n - n1 - n2)
-
-    @property
-    def n(self) -> int:
-        return len(self.parts)
-
-    @property
-    def sizes(self) -> tuple[int, int, int]:
-        c = Counter(self.parts)
-        return (c.get(1, 0), c.get(2, 0), c.get(3, 0))
-
-    def part_of(self, v: int) -> int:
-        check_vertex(v, self.n)
-        return self.parts[v]
-
-    def part_sets(self) -> tuple[frozenset[int], ...]:
-        """(V1, V2, V3) as frozensets, index 0 unused-free: result[i-1] is Vi."""
-        if self._sets is None:
-            sets: list[set[int]] = [set(), set(), set()]
-            for v, c in enumerate(self.parts):
-                sets[c - 1].add(v)
-            self._sets = tuple(frozenset(s) for s in sets)
-        return self._sets
-
-    def part_size(self, i: int) -> int:
-        return len(self.part_sets()[i - 1])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition3) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition3({''.join(str(c) for c in self.parts)})"
 
 
 class ColoredGraph:
@@ -170,19 +101,20 @@ class EquivalenceClasses:
         return self.classes[self.class_of[v]]
 
 
-def cyclic_triangles(cg: ColoredGraph) -> list[tuple[int, int, int]]:
-    """All triangles whose color multiset is one of the four cyclic types."""
+def _cyclic_triangle_scan(cg: ColoredGraph) -> Iterator[tuple[int, int, int]]:
     g = cg.graph
     adj = g.adjacency()
     parts = cg.partition.parts
-    out = []
     for a, b in g.edges:
+        row = 9 * parts[a] + 3 * parts[b] - 13
         for w in adj[a] & adj[b]:
-            if w > b:
-                colors = tuple(sorted((parts[a], parts[b], parts[w])))
-                if colors in CYCLIC_TRIANGLE_TYPES:
-                    out.append((a, b, w))
-    return out
+            if w > b and CYCLIC_TABLE[row + parts[w]]:
+                yield (a, b, w)
+
+
+def cyclic_triangles(cg: ColoredGraph) -> list[tuple[int, int, int]]:
+    """All triangles whose color multiset is one of the four cyclic types."""
+    return list(_cyclic_triangle_scan(cg))
 
 
 def rho3(cg: ColoredGraph) -> Fraction:
@@ -193,17 +125,9 @@ def rho3(cg: ColoredGraph) -> Fraction:
 
 
 def is_cyclic_triangle_free(cg: ColoredGraph) -> bool:
-    """Direct scan; no division, defined for every vertex count."""
-    g = cg.graph
-    adj = g.adjacency()
-    parts = cg.partition.parts
-    for a, b in g.edges:
-        for w in adj[a] & adj[b]:
-            if w > b:
-                colors = tuple(sorted((parts[a], parts[b], parts[w])))
-                if colors in CYCLIC_TRIANGLE_TYPES:
-                    return False
-    return True
+    """Direct scan that stops at the first cyclic triangle; no division,
+    defined for every vertex count."""
+    return next(_cyclic_triangle_scan(cg), None) is None
 
 
 def build_lambda(n1: int, n2: int, n3: int) -> ColoredGraph:
@@ -303,11 +227,7 @@ def class_symmetrize(cg: ColoredGraph, from_vertex: int, to_vertex: int) -> Colo
     src = cg.graph.neighbors(from_vertex)
     if src == cg.graph.neighbors(to_vertex):
         raise SameClass("the two vertices already lie in one class")
-    movers = [
-        x
-        for x in range(cg.n)
-        if cg.part_of(x) == cg.part_of(from_vertex) and cg.graph.neighbors(x) == src
-    ]
+    movers = _class_members(cg, from_vertex)
     target = cg.graph.neighbors(to_vertex)
     mover_set = set(movers)
     remove = [e for e in cg.graph.edges if e[0] in mover_set or e[1] in mover_set]

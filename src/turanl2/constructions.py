@@ -1,23 +1,140 @@
-"""Builders and closed-form norms for the cyclic and bipartite 3-graph families.
+"""The cyclic construction model, plus the bipartite family and closed-form norms.
 
 The cyclic family on parts (V1, V2, V3) takes all transversal triples plus,
 cyclically, the triples with two vertices in a part and one in the next part.
-The bipartite family on (V1, V2) takes all triples meeting one part twice and
-the other once.  Closed forms are evaluated in exact rational arithmetic and
-double-checked elsewhere against direct codegree enumeration.
+Its edge types are also the "cyclic" triangles of the vertex-colored Mantel
+problem, so this module is the one home of the part labels, the membership
+table and the memoized construction that the classification, improvement,
+census and colored modules share.  The bipartite family on (V1, V2) takes all
+triples meeting one part twice and the other once.  Closed forms are evaluated
+in exact rational arithmetic and double-checked elsewhere against direct
+codegree enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
-from .colored import Partition3
 from .errors import PartitionMismatch
-from .hypergraph import ThreeGraph
-from .util import pmap
+from .hypergraph import ThreeGraph, Triple, check_vertex
+
+# Sorted part-label multisets of the construction's edges: (1,1,1), (2,1,0),
+# (0,2,1) and (1,0,2) as part counts.  The same four are the cyclic triangles.
+CYCLIC_TRIANGLE_TYPES = frozenset({(1, 2, 3), (1, 1, 2), (2, 2, 3), (1, 3, 3)})
+
+# Membership by ordered part labels: vertices in parts x, y, z (in any order)
+# form a construction edge iff CYCLIC_TABLE[9 * x + 3 * y + z - 13].
+CYCLIC_TABLE: tuple[bool, ...] = tuple(
+    tuple(sorted(t)) in CYCLIC_TRIANGLE_TYPES
+    for t in itertools.product((1, 2, 3), repeat=3)
+)
+
+
+def next_part(i: int) -> int:
+    return 1 + (i % 3)
+
+
+def prev_part(i: int) -> int:
+    return 1 + ((i + 1) % 3)
+
+
+class Partition3:
+    """Assignment of every vertex to one of the parts 1, 2, 3."""
+
+    __slots__ = ("parts", "_sets")
+
+    def __init__(self, parts: Sequence[int]):
+        parts = tuple(parts)
+        for c in parts:
+            if c not in (1, 2, 3):
+                raise PartitionMismatch(f"part labels must be 1, 2, or 3; got {c}")
+        self.parts = parts
+        self._sets: Optional[tuple[frozenset[int], ...]] = None
+
+    @classmethod
+    def from_string(cls, s: str) -> "Partition3":
+        try:
+            return cls(tuple(int(ch) for ch in s.strip()))
+        except ValueError as exc:
+            raise PartitionMismatch(f"bad color string {s!r}") from exc
+
+    @classmethod
+    def from_sizes(cls, n1: int, n2: int, n3: int) -> "Partition3":
+        """Label ranges: [0,n1) -> 1, [n1,n1+n2) -> 2, rest -> 3."""
+        return cls((1,) * n1 + (2,) * n2 + (3,) * n3)
+
+    @classmethod
+    def balanced(cls, n: int) -> "Partition3":
+        """As equal as possible by ascending label."""
+        return cls.from_sizes(*Composition3.balanced(n).sizes)
+
+    @property
+    def n(self) -> int:
+        return len(self.parts)
+
+    @property
+    def sizes(self) -> tuple[int, int, int]:
+        c = Counter(self.parts)
+        return (c.get(1, 0), c.get(2, 0), c.get(3, 0))
+
+    def part_of(self, v: int) -> int:
+        check_vertex(v, self.n)
+        return self.parts[v]
+
+    def part_sets(self) -> tuple[frozenset[int], ...]:
+        """(V1, V2, V3) as frozensets, index 0 unused-free: result[i-1] is Vi."""
+        if self._sets is None:
+            sets: list[set[int]] = [set(), set(), set()]
+            for v, c in enumerate(self.parts):
+                sets[c - 1].add(v)
+            self._sets = tuple(frozenset(s) for s in sets)
+        return self._sets
+
+    def part_size(self, i: int) -> int:
+        return len(self.part_sets()[i - 1])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Partition3) and self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"Partition3({''.join(str(c) for c in self.parts)})"
+
+
+def cyclic_triples(parts: Sequence[int]) -> Iterator[Triple]:
+    """The construction's triples a < b < c on a part assignment, in
+    lexicographic order."""
+    n = len(parts)
+    table = CYCLIC_TABLE
+    for a in range(n):
+        row_a = 9 * parts[a] - 13
+        for b in range(a + 1, n):
+            row = row_a + 3 * parts[b]
+            for c in range(b + 1, n):
+                if table[row + parts[c]]:
+                    yield (a, b, c)
+
+
+# The construction built last by ``construction``, keyed by ``p.parts``.  The
+# improvement drivers and the classifier reuse one partition across many
+# calls, and at n = 120 one construction holds about 157k edges.
+_LAST_CONSTRUCTION: tuple[tuple[int, ...], Optional[ThreeGraph]] = ((), None)
+
+
+def construction(p: Partition3) -> ThreeGraph:
+    """The cyclic construction on ``p``, memoized for the last partition."""
+    global _LAST_CONSTRUCTION
+    parts, h = _LAST_CONSTRUCTION
+    if h is None or parts != p.parts:
+        h = ThreeGraph(p.n, cyclic_triples(p.parts), _normalized=True)
+        _LAST_CONSTRUCTION = (p.parts, h)
+    return h
 
 
 @dataclass(frozen=True, order=True)
@@ -32,6 +149,12 @@ class Composition3:
     def __post_init__(self):
         if min(self.n1, self.n2, self.n3) < 0:
             raise PartitionMismatch("part sizes must be nonnegative")
+
+    @classmethod
+    def balanced(cls, n: int) -> "Composition3":
+        """The near-balanced composition of n, larger parts first by label."""
+        base, rem = divmod(n, 3)
+        return cls(*(base + (1 if i < rem else 0) for i in range(3)))
 
     @property
     def n(self) -> int:
@@ -71,25 +194,14 @@ def compositions_of(n: int) -> list[Composition3]:
 
 
 def build_c(c: Composition3) -> tuple[ThreeGraph, Partition3]:
-    """The cyclic 3-partite 3-graph on the composition's label ranges.
-
-    Edge types by part-intersection profile: (1,1,1), (2,1,0), (0,2,1),
-    (1,0,2).
-    """
-    v1, v2, v3 = c.ranges()
-    edges = [tuple(sorted(t)) for t in itertools.product(v1, v2, v3)]
-    for p, q in ((v1, v2), (v2, v3), (v3, v1)):
-        for a, b in itertools.combinations(p, 2):
-            for w in q:
-                edges.append(tuple(sorted((a, b, w))))
-    return ThreeGraph(c.n, sorted(edges), _normalized=True), c.partition()
+    """The cyclic 3-partite 3-graph on the composition's label ranges."""
+    p = c.partition()
+    return ThreeGraph(c.n, cyclic_triples(p.parts), _normalized=True), p
 
 
 def build_balanced_c(n: int) -> tuple[ThreeGraph, Partition3]:
     """Best near-balanced composition of n (largest parts first by label)."""
-    base, rem = divmod(n, 3)
-    sizes = tuple(base + (1 if i < rem else 0) for i in range(3))
-    return build_c(Composition3(*sizes))
+    return build_c(Composition3.balanced(n))
 
 
 def build_b(n1: int, n2: int) -> ThreeGraph:
@@ -256,7 +368,7 @@ class SweepReport:
         }
 
 
-def balancedness_sweep(n: int, workers: int = 1) -> SweepReport:
+def balancedness_sweep(n: int) -> SweepReport:
     """Evaluate the closed form over all compositions of n (up to rotation).
 
     Confirms that the maximum is attained exactly by the near-balanced
@@ -265,8 +377,7 @@ def balancedness_sweep(n: int, workers: int = 1) -> SweepReport:
     every family member that fits inside sum n.
     """
     reps = sorted({c.rotation_representative() for c in compositions_of(n)})
-    vals = pmap(c_l2_closed, reps, workers)
-    values = dict(zip(reps, vals))
+    values = {c: c_l2_closed(c) for c in reps}
     optimum = max(values.values()) if values else Fraction(0)
     maximizers = tuple(sorted(c for c, v in values.items() if v == optimum))
     near = tuple(sorted(c for c in values if c.near_balanced()))
@@ -306,10 +417,8 @@ def balancedness_sweep(n: int, workers: int = 1) -> SweepReport:
     )
 
 
-def sweep_csv(n: int, workers: int = 1) -> str:
+def sweep_csv(n: int) -> str:
     """CSV over ordered compositions: 'n1,n2,n3,l2'."""
-    comps = compositions_of(n)
-    values = pmap(c_l2_closed, comps, workers)
     rows = ["n1,n2,n3,l2"]
-    rows.extend(f"{c.n1},{c.n2},{c.n3},{v}" for c, v in zip(comps, values))
+    rows.extend(f"{c.n1},{c.n2},{c.n3},{c_l2_closed(c)}" for c in compositions_of(n))
     return "\n".join(rows) + "\n"

@@ -6,7 +6,8 @@
 .p3  partition sidecar: a single line over {1,2,3}, one character per vertex.
 .cg  colored 2-graph: "n", color string, "m", then m lines "a b".
 
-Lines starting with '#' and blank lines are ignored on input.
+Lines starting with '#' and blank lines are ignored on input.  A repeated
+triple or pair (in any vertex order) is rejected, never merged.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
-from .colored import ColoredGraph, Partition3
+from .colored import ColoredGraph
+from .constructions import Partition3
 from .errors import FormatError
 from .hypergraph import ThreeGraph, make_graph, make_pair_graph
 
@@ -40,6 +42,16 @@ def _ints(line: str, count: int, what: str) -> list[int]:
         raise FormatError(f"non-integer field in {what}: {line!r}") from exc
 
 
+def _reject_duplicate(lines: list[str], rows: list[list[int]], what: str) -> None:
+    """Raise on the first row that repeats an earlier one as a vertex set."""
+    seen: dict[tuple[int, ...], str] = {}
+    for line, row in zip(lines, rows):
+        key = tuple(sorted(row))
+        if key in seen:
+            raise FormatError(f"duplicate {what} {line!r} repeats {seen[key]!r}")
+        seen[key] = line
+
+
 def parse_h3(text: str) -> ThreeGraph:
     lines = _content_lines(text)
     if not lines:
@@ -47,7 +59,11 @@ def parse_h3(text: str) -> ThreeGraph:
     n, m = _ints(lines[0], 2, ".h3 header")
     if len(lines) - 1 != m:
         raise FormatError(f".h3 header promises {m} edges, found {len(lines) - 1}")
-    return make_graph(n, [_ints(line, 3, ".h3 edge") for line in lines[1:]])
+    rows = [_ints(line, 3, ".h3 edge") for line in lines[1:]]
+    h = make_graph(n, rows)
+    if len(h.edges) != m:
+        _reject_duplicate(lines[1:], rows, ".h3 edge")
+    return h
 
 
 def write_h3(h: ThreeGraph) -> str:
@@ -78,7 +94,10 @@ def parse_cg(text: str) -> ColoredGraph:
     (m,) = _ints(lines[2], 1, ".cg edge count")
     if len(lines) - 3 != m:
         raise FormatError(f".cg header promises {m} edges, found {len(lines) - 3}")
-    g = make_pair_graph(n, [_ints(line, 2, ".cg edge") for line in lines[3:]])
+    rows = [_ints(line, 2, ".cg edge") for line in lines[3:]]
+    g = make_pair_graph(n, rows)
+    if len(g.edges) != m:
+        _reject_duplicate(lines[3:], rows, ".cg edge")
     return ColoredGraph(g, partition)
 
 

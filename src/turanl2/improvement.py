@@ -24,8 +24,7 @@ from .classification import (
     check_phase_two_hypotheses,
     classify_edges,
 )
-from .colored import Partition3, next_part
-from .constructions import Composition3, build_c
+from .constructions import Composition3, Partition3, construction, prev_part
 from .errors import EdgePhaseMismatch
 from .hypergraph import (
     Pair,
@@ -125,9 +124,10 @@ def apply_toggle(
         d = cd.get(e, 0)
         delta += 2 * d + 1
     if phase == "one":
-        part = p.part_of(u1)
-        same = [w for w in removed_thirds if p.part_of(w) == part]
-        far = [w for w in removed_thirds if p.part_of(w) != part]
+        parts = p.parts
+        part = parts[u1]
+        same = [w for w in removed_thirds if parts[w] == part]
+        far = [w for w in removed_thirds if parts[w] != part]
         s2 = frozenset(tuple(sorted((u, w))) for u in pair for w in same)
         s3 = frozenset(tuple(sorted((u, w))) for u in pair for w in far)
         s2a = s2b = frozenset()
@@ -249,6 +249,7 @@ def build_queues(h: ThreeGraph, p: Partition3, delta4: Fraction) -> Queues:
     m_cod = _family_codegrees(ec.m)
     mtri_cod = _family_codegrees(ec.m_tri)
 
+    parts = p.parts
     i_pairs = []
     for i in (1, 2, 3):
         members = sorted(p.part_sets()[i - 1])
@@ -257,17 +258,17 @@ def build_queues(h: ThreeGraph, p: Partition3, delta4: Fraction) -> Queues:
                 i_pairs.append(e)
     j_pairs = []
     for e in itertools.combinations(range(n), 2):
-        if p.part_of(e[0]) != p.part_of(e[1]) and mtri_cod.get(e, 0) >= Fraction(n, 10):
+        if parts[e[0]] != parts[e[1]] and mtri_cod.get(e, 0) >= Fraction(n, 10):
             j_pairs.append(e)
 
     b_tilde = set()
     for t in ec.b_bi:
-        parts = [p.part_of(v) for v in t]
-        doubled = next(x for x in (1, 2, 3) if parts.count(x) == 2)
-        single = next(x for x in (1, 2, 3) if parts.count(x) == 1)
-        if single != next_part(next_part(doubled)):
+        labels = [parts[v] for v in t]
+        doubled = next(x for x in (1, 2, 3) if labels.count(x) == 2)
+        single = next(x for x in (1, 2, 3) if labels.count(x) == 1)
+        if single != prev_part(doubled):
             continue  # wrong orientation: not a (i, i, i-1) pattern
-        same_pair = tuple(sorted(v for v in t if p.part_of(v) == doubled))
+        same_pair = tuple(sorted(v for v in t if parts[v] == doubled))
         if m_cod.get(same_pair, 0) <= delta4 * n:
             b_tilde.add(t)
     return Queues(tuple(sorted(i_pairs)), tuple(sorted(j_pairs)), frozenset(b_tilde))
@@ -416,30 +417,6 @@ def two_phase_driver(
 # instance generators for the positivity property suite
 
 
-def _near_balanced_composition(n: int) -> Composition3:
-    base, rem = divmod(n, 3)
-    return Composition3(*(base + (1 if i < rem else 0) for i in range(3)))
-
-
-_BASE_CACHE: dict[tuple[int, int, int], tuple[ThreeGraph, Partition3]] = {}
-
-
-def _cached_construction(comp: Composition3) -> tuple[ThreeGraph, Partition3]:
-    key = comp.sizes
-    if key not in _BASE_CACHE:
-        if len(_BASE_CACHE) >= 4:
-            _BASE_CACHE.clear()
-        h, p = build_c(comp)
-        # the classifier would otherwise rebuild this exact edge set
-        from . import classification
-
-        if len(classification._CONSTRUCTION_CACHE) >= 4:
-            classification._CONSTRUCTION_CACHE.clear()
-        classification._CONSTRUCTION_CACHE[p.parts] = h.edge_set
-        _BASE_CACHE[key] = (h, p)
-    return _BASE_CACHE[key]
-
-
 def generate_phase_instance(
     rng, n: int, xi: Fraction, phase: str
 ) -> tuple[ThreeGraph, Partition3, Pair]:
@@ -457,8 +434,9 @@ def generate_phase_instance(
     exactly, not a consequence of a fully passing checklist.
     """
     xi = Fraction(xi)
-    comp = _near_balanced_composition(n)
-    base, partition = _cached_construction(comp)
+    comp = Composition3.balanced(n)
+    partition = comp.partition()
+    base = construction(partition)
     v1, v2, v3 = comp.ranges()
     removed: set[Triple] = set()
     added: set[Triple] = set()

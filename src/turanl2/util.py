@@ -1,10 +1,10 @@
-"""Small shared helpers: exact rationals in text, deterministic JSON, maps."""
+"""Small shared helpers: exact rationals in text and deterministic JSON."""
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any
 
 _JSON_INT_LIMIT = 1 << 53
 
@@ -48,21 +48,6 @@ def jsonable(obj: Any) -> Any:
 def dump_json(obj: Any, indent: int = 2) -> str:
     """Deterministic JSON text: sorted keys, fixed separators, exact values."""
     return json.dumps(jsonable(obj), indent=indent, sort_keys=True)
-
-
-def pmap(fn: Callable, items: Sequence, workers: int = 1) -> list:
-    """Map preserving order; with workers > 1 uses a process pool.
-
-    Results are merged in input order, so the output is identical to the
-    serial run regardless of worker count.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    import multiprocessing
-
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(fn, items)
 
 
 def isqrt_enclosure(x: Fraction) -> tuple[Fraction, Fraction]:

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's optimized paths: norms are
 recounted from raw pair iteration, canonical forms are minimized over every
-permutation, and subgraph searches enumerate vertex subsets directly.
+permutation, subgraph searches enumerate vertex subsets directly, and the
+cyclic construction is recounted from the part counts of every triple.
 """
 
 import itertools
@@ -44,6 +45,21 @@ def oracle_contains_complete(h: ThreeGraph, k: int) -> bool:
         if all(t in h.edge_set for t in itertools.combinations(sub, 3)):
             return True
     return False
+
+
+# Part counts (|t & V1|, |t & V2|, |t & V3|) of the cyclic construction's edges.
+CYCLIC_PART_COUNTS = frozenset({(1, 1, 1), (2, 1, 0), (0, 2, 1), (1, 0, 2)})
+
+
+def oracle_cyclic_edges(parts) -> frozenset:
+    """Edges of the cyclic construction on a part assignment, by counting the
+    parts of every vertex triple."""
+    return frozenset(
+        t
+        for t in itertools.combinations(range(len(parts)), 3)
+        if tuple(sum(1 for v in t if parts[v] == i) for i in (1, 2, 3))
+        in CYCLIC_PART_COUNTS
+    )
 
 
 def random_graph(rng: random.Random, n: int, density: float) -> ThreeGraph:

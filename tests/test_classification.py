@@ -22,6 +22,7 @@ from turanl2.errors import (
     EdgeNotCrossing,
     EdgeNotInShadow,
     EdgeNotInternal,
+    PartitionMismatch,
     SizeLimitExceeded,
     UnknownFamily,
 )
@@ -160,6 +161,12 @@ class TestOptimizePartition:
     def test_size_cap(self):
         with pytest.raises(SizeLimitExceeded):
             optimize_partition(make_graph(13, []), "exhaustive")
+
+    def test_link_move_inequalities_rejects_mismatched_partition(self):
+        h = make_graph(5, [(0, 1, 2), (1, 3, 4)])
+        for n in (4, 6):
+            with pytest.raises(PartitionMismatch):
+                link_move_inequalities(h, Partition3.balanced(n), 0)
 
 
 class TestHypothesisChecklists:

@@ -125,3 +125,27 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", "--problem", "nope", "--n", "3"])
     assert exc.value.code == 2
+
+
+def test_duplicate_input_lines_are_usage_errors(tmp_path, capsys):
+    h3 = tmp_path / "dup.h3"
+    h3.write_text("3 2\n0 1 2\n2 1 0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", "--input", str(h3)])
+    assert exc.value.code == 2
+    assert "'2 1 0'" in capsys.readouterr().err
+
+    cg = tmp_path / "dup.cg"
+    cg.write_text("3\n123\n2\n0 1\n1 0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["symmetrize", "--input", str(cg)])
+    assert exc.value.code == 2
+    assert "'1 0'" in capsys.readouterr().err
+
+
+def test_removed_options_are_rejected(capsys):
+    for argv in (["construct", "--sweep", "5", "--workers", "2"],
+                 ["check", "--suite", "2", "--n-max", "10"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -41,6 +41,13 @@ def test_h3_errors():
         parse_h3("3 1\n0 1 5\n")
 
 
+def test_h3_rejects_duplicate_triples():
+    with pytest.raises(FormatError, match="'2 1 0'"):
+        parse_h3("3 2\n0 1 2\n2 1 0\n")
+    with pytest.raises(FormatError, match="'3 0 2' repeats '0 2 3'"):
+        parse_h3("4 3\n0 1 2\n0 2 3\n3 0 2\n")
+
+
 def test_p3_roundtrip():
     p = Partition3.from_string("112233")
     assert parse_p3(write_p3(p)) == p
@@ -58,3 +65,8 @@ def test_cg_errors():
         parse_cg("3\n12\n0\n")  # color string too short
     with pytest.raises(FormatError):
         parse_cg("2\n12\n2\n0 1\n")  # promised two edges
+
+
+def test_cg_rejects_duplicate_pairs():
+    with pytest.raises(FormatError, match="'1 0'"):
+        parse_cg("3\n123\n2\n0 1\n1 0\n")
