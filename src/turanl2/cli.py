@@ -59,6 +59,8 @@ def _header(args, **extra) -> dict:
 def cmd_construct(args) -> int:
     out = Path(args.output) if args.output else None
     if args.sweep is not None:
+        if args.sweep < 0:
+            raise TuranL2Error(f"--sweep must be a nonnegative vertex count, got {args.sweep}")
         csv = sweep_csv(args.sweep)
         if out:
             out.with_suffix(".csv").write_text(csv)

@@ -65,16 +65,13 @@ class ColoredGraph:
 
     def in_neighborhood(self, v: int) -> frozenset[int]:
         """Neighbors of v in the part before v's part (cyclically)."""
-        i = self.part_of(v)
-        return self.graph.neighbors(v) & self.partition.part_sets()[prev_part(i) - 1]
+        return _neighbors_in_part(self, v, prev_part(self.part_of(v)))
 
     def out_neighborhood(self, v: int) -> frozenset[int]:
-        i = self.part_of(v)
-        return self.graph.neighbors(v) & self.partition.part_sets()[next_part(i) - 1]
+        return _neighbors_in_part(self, v, next_part(self.part_of(v)))
 
     def internal_neighborhood(self, v: int) -> frozenset[int]:
-        i = self.part_of(v)
-        return self.graph.neighbors(v) & self.partition.part_sets()[i - 1]
+        return _neighbors_in_part(self, v, self.part_of(v))
 
     def __eq__(self, other) -> bool:
         return (
@@ -190,6 +187,11 @@ def symmetrize(cg: ColoredGraph, u: int, v: int) -> ColoredGraph:
     return cg.with_graph(cg.graph.with_changes(add=add, remove=remove))
 
 
+def _neighbors_in_part(cg: ColoredGraph, v: int, part: int) -> frozenset[int]:
+    """Neighbors of the valid vertex v inside part ``part``."""
+    return cg.graph.adjacency()[v] & cg.partition.part_sets()[part - 1]
+
+
 def equivalence_classes(cg: ColoredGraph) -> EquivalenceClasses:
     """Group vertices by (part, exact neighborhood).
 
@@ -197,13 +199,15 @@ def equivalence_classes(cg: ColoredGraph) -> EquivalenceClasses:
     contain the other in its own neighborhood, which self-exclusion forbids.
     Classes are ordered by (part, least member) for determinism.
     """
+    parts = cg.partition.parts
+    adj = cg.graph.adjacency()
     key_to_members: dict[tuple[int, frozenset[int]], list[int]] = {}
     for v in range(cg.n):
-        key = (cg.part_of(v), cg.graph.neighbors(v))
+        key = (parts[v], adj[v])
         key_to_members.setdefault(key, []).append(v)
     classes = sorted(
         (tuple(sorted(m)) for m in key_to_members.values()),
-        key=lambda c: (cg.part_of(c[0]), c[0]),
+        key=lambda c: (parts[c[0]], c[0]),
     )
     class_of = [0] * cg.n
     for idx, members in enumerate(classes):
@@ -299,7 +303,7 @@ def locally_symmetrize(cg: ColoredGraph) -> tuple[ColoredGraph, list[MergeStep]]
         merged = class_symmetrize(current, src, dst)
         log.append(
             MergeStep(
-                part=current.part_of(u),
+                part=current.partition.parts[u],
                 merged_class=_class_members(current, src),
                 target_class=_class_members(current, dst),
                 edges_before=m,
@@ -311,12 +315,12 @@ def locally_symmetrize(cg: ColoredGraph) -> tuple[ColoredGraph, list[MergeStep]]
 
 
 def _class_members(cg: ColoredGraph, v: int) -> tuple[int, ...]:
-    nb = cg.graph.neighbors(v)
-    part = cg.part_of(v)
+    adj = cg.graph.adjacency()
+    nb = adj[v]
     return tuple(
         x
-        for x in sorted(cg.partition.part_sets()[part - 1])
-        if cg.graph.neighbors(x) == nb
+        for x in sorted(cg.partition.part_sets()[cg.partition.parts[v] - 1])
+        if adj[x] == nb
     )
 
 
@@ -385,8 +389,9 @@ def check_symmetrized_facts(
 
     witness = None
     by_part: dict[int, list[tuple[int, ...]]] = {1: [], 2: [], 3: []}
+    parts = cg.partition.parts
     for members in ec.classes:
-        by_part[cg.part_of(members[0])].append(members)
+        by_part[parts[members[0]]].append(members)
     for part_classes in by_part.values():
         for ca, cb in itertools.combinations(part_classes, 2):
             for u in ca:
@@ -404,10 +409,11 @@ def check_symmetrized_facts(
 
     witness = None
     for v in range(cg.n):
-        part_size = cg.partition.part_size(cg.part_of(v))
+        part_size = cg.partition.part_size(parts[v])
         expected = part_size - len(ec.class_members(v))
-        if len(cg.internal_neighborhood(v)) != expected:
-            witness = (v, len(cg.internal_neighborhood(v)), expected)
+        internal = len(_neighbors_in_part(cg, v, parts[v]))
+        if internal != expected:
+            witness = (v, internal, expected)
             break
     facts.append(FactCheck("internal-neighborhood-size", witness is None, witness))
 
@@ -415,7 +421,7 @@ def check_symmetrized_facts(
     if free:
         witness = None
         for v in range(cg.n):
-            inn = cg.in_neighborhood(v)
+            inn = _neighbors_in_part(cg, v, prev_part(parts[v]))
             if inn and inn != frozenset(ec.class_members(next(iter(inn)))):
                 witness = (v, tuple(sorted(inn)))
                 break
@@ -424,7 +430,9 @@ def check_symmetrized_facts(
         witness = None
         view = directed_structure(cg)
         for u, v in view.directed_edges:
-            if cg.in_neighborhood(u) & cg.out_neighborhood(v):
+            if _neighbors_in_part(cg, u, prev_part(parts[u])) & _neighbors_in_part(
+                cg, v, next_part(parts[v])
+            ):
                 witness = (u, v)
                 break
         facts.append(FactCheck("directed-edge-ends-disjoint", witness is None, witness))
@@ -449,8 +457,9 @@ class DirectedView:
         self.cg = cg
         self.out: list[list[int]] = [[] for _ in range(cg.n)]
         edges = []
+        parts = cg.partition.parts
         for a, b in cg.graph.edges:
-            pa, pb = cg.part_of(a), cg.part_of(b)
+            pa, pb = parts[a], parts[b]
             if pb == next_part(pa):
                 self.out[a].append(b)
                 edges.append((a, b))

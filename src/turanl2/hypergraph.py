@@ -8,6 +8,7 @@ computed here is an exact integer.  No floating point enters this module.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from typing import Iterable, Optional, Sequence
 
@@ -122,7 +123,7 @@ class ThreeGraph:
     ) -> "ThreeGraph":
         """New graph with the given already-normalized triples added/removed.
 
-        Linear merge against the sorted edge list; no full re-sort.
+        Edits are merged into the sorted edge list; no full re-sort.
         """
         return ThreeGraph(
             self.n, merge_edit(self.edges, add, remove), _normalized=True
@@ -189,23 +190,22 @@ def merge_edit(
     add: Iterable[Triple] = (),
     remove: Iterable[Triple] = (),
 ) -> list[Triple]:
-    """Sorted edge list after removing/adding normalized triples, in O(m)."""
-    remove_set = set(remove)
-    add_list = sorted(set(add))
+    """Sorted edge list ``(edges - remove) | add`` for normalized triples.
+
+    Each edit is placed by binary search from the previous one, and the
+    untouched runs between edits are copied as slices, so k edits cost
+    O(k log m) comparisons plus the copy.  A triple in both ``add`` and
+    ``remove`` ends up present."""
+    add_set = set(add)
     out: list[Triple] = []
-    push = out.append
-    ai = 0
-    alen = len(add_list)
-    for t in edges_sorted:
-        if t in remove_set:
-            continue
-        while ai < alen and add_list[ai] < t:
-            push(add_list[ai])
-            ai += 1
-        if ai < alen and add_list[ai] == t:
-            ai += 1
-        push(t)
-    out.extend(add_list[ai:])
+    pos = 0
+    for t in sorted(add_set.union(remove)):
+        i = bisect_left(edges_sorted, t, pos)
+        out += edges_sorted[pos:i]
+        if t in add_set:
+            out.append(t)
+        pos = i + (i < len(edges_sorted) and edges_sorted[i] == t)
+    out += edges_sorted[pos:]
     return out
 
 

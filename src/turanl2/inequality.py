@@ -8,15 +8,21 @@ The inequality: for nonnegative x1 + x2 + x3 = 1,
 with equality exactly at the barycenter.  Two verification routes:
 
 * a grid sweep over all rational points (a/d, b/d, c/d), exact margins;
-* a finite certificate: adaptive box subdivision with rational interval
-  arithmetic, plus an exact near-center lemma.  Writing u_i = x_i - 1/3,
-  q = sum u_i^2, p = u1*u2*u3 and D = -(u1-u2)(u2-u3)(u3-u1), the margin
-  equals (11/75) q - (p + D)/4 identically; with m = max |u_i| one has
-  q >= (3/2) m^2 and |p + D| <= 9 m^3, so the margin is at least
+* a finite certificate: adaptive box subdivision with exact integer
+  interval arithmetic on dyadic boxes, plus an exact near-center lemma.
+  Writing u_i = x_i - 1/3, q = sum u_i^2, p = u1*u2*u3 and
+  D = -(u1-u2)(u2-u3)(u3-u1), the margin equals (11/75) q - (p + D)/4
+  identically; with m = max |u_i| one has q >= (3/2) m^2 and
+  |p + D| <= 9 m^3, so the margin is at least
   (11/50) m^2 - (9/4) m^3 > 0 for 0 < m <= 2/25.  Boxes inside the
   m <= 2/25 ball are certified by that bound (interval arithmetic alone can
   never certify a box containing the equality point); everything else is
   certified by plain interval evaluation or subdivided.
+
+Every box endpoint is a dyadic rational, so both enclosures are evaluated
+on integers at a common scale: each equals the rational interval enclosure
+on the same operation tree times a positive constant, and so decides every
+box exactly as rational interval arithmetic would.
 
 The grid sweep is evidence at grid points; the box certificate covers the
 whole simplex.  Both are exact: no floating point is involved anywhere.
@@ -80,98 +86,110 @@ def verify_simplex_inequality(d: int) -> GridReport:
 
     Returns the minimum margin and where it occurs; every grid point with
     margin exactly zero is reported (the barycenter, when 3 divides d, is
-    the only expected one)."""
+    the only expected one).  Each point is decided by the integer
+    2700 d^3 * margin, so Fractions are built only for the report."""
     if d < 1:
         raise ValueError("resolution must be at least 1")
-    worst: Optional[Fraction] = None
-    arg = (Fraction(0), Fraction(0), Fraction(0))
+    top = 250 * d**3
+    worst: Optional[int] = None
+    arg = (0, 0, 0)
     zeros = []
     points = 0
     for a in range(d + 1):
         for b in range(d + 1 - a):
             c = d - a - b
-            x = (Fraction(a, d), Fraction(b, d), Fraction(c, d))
-            value = margin(*x)
+            value = (
+                top
+                - 6 * d * ((3 * a - d) ** 2 + (3 * b - d) ** 2 + (3 * c - d) ** 2)
+                - 2700 * a * b * c
+                - 1350 * (a * a * b + b * b * c + c * c * a)
+            )
             points += 1
             if value == 0:
-                zeros.append(x)
-            if worst is None or value < worst or (value == worst and x < arg):
+                zeros.append((Fraction(a, d), Fraction(b, d), Fraction(c, d)))
+            # points come in lexicographic order, so the first minimum wins ties
+            if worst is None or value < worst:
                 worst = value
-                arg = x
+                arg = (a, b, c)
     assert worst is not None
-    return GridReport(d, points, worst, arg, tuple(zeros))
-
-
-# --- rational interval arithmetic -----------------------------------------
-
-
-@dataclass(frozen=True)
-class Interval:
-    lo: Fraction
-    hi: Fraction
-
-    def __add__(self, other):
-        other = _as_interval(other)
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other):
-        other = _as_interval(other)
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __mul__(self, other):
-        other = _as_interval(other)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(products), max(products))
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
-    def square(self):
-        if self.lo >= 0:
-            return Interval(self.lo * self.lo, self.hi * self.hi)
-        if self.hi <= 0:
-            return Interval(self.hi * self.hi, self.lo * self.lo)
-        return Interval(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
-
-    def scaled(self, k: Fraction):
-        if k >= 0:
-            return Interval(self.lo * k, self.hi * k)
-        return Interval(self.hi * k, self.lo * k)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-
-def _as_interval(v) -> Interval:
-    if isinstance(v, Interval):
-        return v
-    f = Fraction(v)
-    return Interval(f, f)
-
-
-def _margin_interval(x1: Interval, x2: Interval, x3: Interval) -> Interval:
-    lhs = x1 * x2 * x3 + (x1.square() * x2 + x2.square() * x3 + x3.square() * x1).scaled(
-        Fraction(1, 2)
+    return GridReport(
+        d,
+        points,
+        Fraction(worst, 2700 * d**3),
+        tuple(Fraction(v, d) for v in arg),
+        tuple(zeros),
     )
-    penalty = (
-        (x1 - THIRD).square() + (x2 - THIRD).square() + (x3 - THIRD).square()
+
+
+# --- exact integer interval arithmetic on dyadic boxes ----------------------
+#
+# An interval is a pair (lo, hi) of ints read at a scale the caller fixes.
+# Every helper below is positively homogeneous: scaling its operands by
+# positive constants scales its result by the matching constant, with the
+# same min/max choices and sign cases.  So an enclosure built from them
+# equals the rational one on the same operation tree times a positive
+# constant, and its sign decides exactly what the rational one decides.
+
+
+def _add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _sub(x, y):
+    return (x[0] - y[1], x[1] - y[0])
+
+
+def _neg(x):
+    return (-x[1], -x[0])
+
+
+def _mul(x, y):
+    products = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+    return (min(products), max(products))
+
+
+def _square(x):
+    lo, hi = x
+    if lo >= 0:
+        return (lo * lo, hi * hi)
+    if hi <= 0:
+        return (hi * hi, lo * lo)
+    return (0, max(lo * lo, hi * hi))
+
+
+def _scale(x, k: int):
+    """x times a positive integer k."""
+    return (x[0] * k, x[1] * k)
+
+
+def _margin_direct(x1, x2, x3, third: int):
+    """Enclosure of the margin from x1, x2, x3 given at scale T = 3 * third,
+    so that 1/3 reads ``third``; the result is at scale 2700 T^3."""
+    t = 3 * third
+    c = (third, third)
+    cube = _mul(_mul(x1, x2), x3)
+    cyclic = _add(
+        _add(_mul(_square(x1), x2), _mul(_square(x2), x3)), _mul(_square(x3), x1)
     )
-    rhs = _as_interval(Fraction(5, 54)) - penalty.scaled(Fraction(1, 50))
-    return rhs - lhs
+    lhs = _add(_scale(cube, 2700), _scale(cyclic, 1350))
+    penalty = _add(
+        _add(_square(_sub(x1, c)), _square(_sub(x2, c))), _square(_sub(x3, c))
+    )
+    top = 250 * t**3
+    rhs = _sub((top, top), _scale(penalty, 54 * t))
+    return _sub(rhs, lhs)
 
 
-def _margin_interval_centered(x1: Interval, x2: Interval, x3: Interval) -> Interval:
-    u1, u2, u3 = (x - THIRD for x in (x1, x2, x3))
-    q = u1.square() + u2.square() + u3.square()
-    p = u1 * u2 * u3
-    d = -((u1 - u2) * (u2 - u3) * (u3 - u1))
-    return q.scaled(Fraction(11, 75)) - (p + d).scaled(Fraction(1, 4))
+def _margin_centered(x1, x2, x3, third: int):
+    """The recentered enclosure (11/75) q - (p + D)/4 from x1, x2, x3 at scale
+    T = 3 * third; the result is at scale 300 T^3."""
+    t = 3 * third
+    c = (third, third)
+    u1, u2, u3 = _sub(x1, c), _sub(x2, c), _sub(x3, c)
+    q = _add(_add(_square(u1), _square(u2)), _square(u3))
+    p = _mul(_mul(u1, u2), u3)
+    d = _neg(_mul(_mul(_sub(u1, u2), _sub(u2, u3)), _sub(u3, u1)))
+    return _sub(_scale(q, 44 * t), _scale(_add(p, d), 75))
 
 
 @dataclass(frozen=True)
@@ -208,10 +226,17 @@ def certify_simplex_inequality(min_width: Fraction = Fraction(1, 10**6)) -> Cert
     is nonnegative, or when the whole box sits inside the center ball,
     where the exact cubic lower bound applies.  Boxes thinner than
     ``min_width`` that still cannot be decided are reported, not dropped.
+
+    Every box is dyadic, since boxes start at [0, 1]^2 and are only halved,
+    so a box is held as integers (a1, b1, a2, b2, depth) standing for
+    [a1, b1] x [a2, b2] / 2^depth, and every test is an integer comparison.
     """
     min_width = Fraction(min_width)
-    one = Fraction(1)
-    stack = [(Fraction(0), one, Fraction(0), one, 0)]
+    width_num, width_den = min_width.numerator, min_width.denominator
+    # |v - 1/3| <= CENTER_RADIUS  <=>  radius_den * |3v - 1| <= radius_num
+    radius_num = 3 * CENTER_RADIUS.numerator
+    radius_den = CENTER_RADIUS.denominator
+    stack = [(0, 1, 0, 1, 0)]
     certified_interval = 0
     certified_center = 0
     skipped = 0
@@ -220,42 +245,46 @@ def certify_simplex_inequality(min_width: Fraction = Fraction(1, 10**6)) -> Cert
     while stack:
         a1, b1, a2, b2, depth = stack.pop()
         max_depth = max(max_depth, depth)
-        if a1 + a2 > 1:
+        one = 1 << depth
+        if a1 + a2 > one:
             skipped += 1
             continue
-        x3_lo = max(Fraction(0), 1 - b1 - b2)
-        x3_hi = 1 - a1 - a2
-        x1 = Interval(a1, b1)
-        x2 = Interval(a2, b2)
-        x3 = Interval(x3_lo, x3_hi)
+        x3_lo = max(0, one - b1 - b2)
+        x3_hi = one - a1 - a2
         # center lemma: entire box within sup-distance 2/25 of the barycenter
-        if (
-            abs(a1 - THIRD) <= CENTER_RADIUS
-            and abs(b1 - THIRD) <= CENTER_RADIUS
-            and abs(a2 - THIRD) <= CENTER_RADIUS
-            and abs(b2 - THIRD) <= CENTER_RADIUS
-            and abs(x3_lo - THIRD) <= CENTER_RADIUS
-            and abs(x3_hi - THIRD) <= CENTER_RADIUS
+        limit = radius_num * one
+        if all(
+            radius_den * abs(3 * v - one) <= limit
+            for v in (a1, b1, a2, b2, x3_lo, x3_hi)
         ):
             certified_center += 1
             continue
-        direct = _margin_interval(x1, x2, x3)
-        centered = _margin_interval_centered(x1, x2, x3)
-        if max(direct.lo, centered.lo) >= 0:
+        x1 = (3 * a1, 3 * b1)
+        x2 = (3 * a2, 3 * b2)
+        x3 = (3 * x3_lo, 3 * x3_hi)
+        # the recentered enclosure decides all but one box at the default
+        # width, so it is tried first; either nonnegative bound certifies
+        if (
+            _margin_centered(x1, x2, x3, one)[0] >= 0
+            or _margin_direct(x1, x2, x3, one)[0] >= 0
+        ):
             certified_interval += 1
             continue
-        width = max(b1 - a1, b2 - a2)
-        if width < min_width:
-            undecided.append((a1, b1, a2, b2))
+        w1 = b1 - a1
+        w2 = b2 - a2
+        if max(w1, w2) * width_den < width_num * one:
+            undecided.append(tuple(Fraction(v, one) for v in (a1, b1, a2, b2)))
             continue
-        if b1 - a1 >= b2 - a2:
-            mid = (a1 + b1) / 2
-            stack.append((a1, mid, a2, b2, depth + 1))
-            stack.append((mid, b1, a2, b2, depth + 1))
+        # one level down every coordinate doubles and [a, b] splits at a + b
+        depth += 1
+        if w1 >= w2:
+            mid = a1 + b1
+            stack.append((2 * a1, mid, 2 * a2, 2 * b2, depth))
+            stack.append((mid, 2 * b1, 2 * a2, 2 * b2, depth))
         else:
-            mid = (a2 + b2) / 2
-            stack.append((a1, b1, a2, mid, depth + 1))
-            stack.append((a1, b1, mid, b2, depth + 1))
+            mid = a2 + b2
+            stack.append((2 * a1, 2 * b1, 2 * a2, mid, depth))
+            stack.append((2 * a1, 2 * b1, mid, 2 * b2, depth))
     return CertificateReport(
         min_width=min_width,
         boxes_certified_interval=certified_interval,

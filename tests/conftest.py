@@ -2,17 +2,28 @@
 
 The oracles here deliberately avoid the library's optimized paths: norms are
 recounted from raw pair iteration, canonical forms are minimized over every
-permutation, subgraph searches enumerate vertex subsets directly, and the
-cyclic construction is recounted from the part counts of every triple.
+permutation, subgraph searches enumerate vertex subsets directly, the
+cyclic construction is recounted from the part counts of every triple, and
+the simplex certificate and grid sweep are rerun in Fraction arithmetic.
 """
 
 import itertools
 import random
 from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
 
 import pytest
 
 from turanl2.hypergraph import ThreeGraph
+from turanl2.inequality import (
+    CENTER_RADIUS,
+    THIRD,
+    CertificateReport,
+    GridReport,
+    margin,
+)
 
 
 def oracle_l2(h: ThreeGraph) -> int:
@@ -60,6 +71,152 @@ def oracle_cyclic_edges(parts) -> frozenset:
         if tuple(sum(1 for v in t if parts[v] == i) for i in (1, 2, 3))
         in CYCLIC_PART_COUNTS
     )
+
+
+# --- rational interval arithmetic: the oracle for the integer certificate ---
+
+
+@dataclass(frozen=True)
+class Interval:
+    lo: Fraction
+    hi: Fraction
+
+    def __add__(self, other):
+        other = _as_interval(other)
+        return Interval(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other):
+        other = _as_interval(other)
+        return Interval(self.lo - other.hi, self.hi - other.lo)
+
+    def __mul__(self, other):
+        other = _as_interval(other)
+        products = (
+            self.lo * other.lo,
+            self.lo * other.hi,
+            self.hi * other.lo,
+            self.hi * other.hi,
+        )
+        return Interval(min(products), max(products))
+
+    def __neg__(self):
+        return Interval(-self.hi, -self.lo)
+
+    def square(self):
+        if self.lo >= 0:
+            return Interval(self.lo * self.lo, self.hi * self.hi)
+        if self.hi <= 0:
+            return Interval(self.hi * self.hi, self.lo * self.lo)
+        return Interval(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
+
+    def scaled(self, k: Fraction):
+        if k >= 0:
+            return Interval(self.lo * k, self.hi * k)
+        return Interval(self.hi * k, self.lo * k)
+
+
+def _as_interval(v) -> Interval:
+    if isinstance(v, Interval):
+        return v
+    f = Fraction(v)
+    return Interval(f, f)
+
+
+def oracle_margin_interval(x1: Interval, x2: Interval, x3: Interval) -> Interval:
+    lhs = x1 * x2 * x3 + (x1.square() * x2 + x2.square() * x3 + x3.square() * x1).scaled(
+        Fraction(1, 2)
+    )
+    penalty = (
+        (x1 - THIRD).square() + (x2 - THIRD).square() + (x3 - THIRD).square()
+    )
+    rhs = _as_interval(Fraction(5, 54)) - penalty.scaled(Fraction(1, 50))
+    return rhs - lhs
+
+
+def oracle_margin_interval_centered(x1: Interval, x2: Interval, x3: Interval) -> Interval:
+    u1, u2, u3 = (x - THIRD for x in (x1, x2, x3))
+    q = u1.square() + u2.square() + u3.square()
+    p = u1 * u2 * u3
+    d = -((u1 - u2) * (u2 - u3) * (u3 - u1))
+    return q.scaled(Fraction(11, 75)) - (p + d).scaled(Fraction(1, 4))
+
+
+def oracle_certify_simplex_inequality(min_width: Fraction) -> CertificateReport:
+    """The box certificate with every endpoint a Fraction."""
+    min_width = Fraction(min_width)
+    one = Fraction(1)
+    stack = [(Fraction(0), one, Fraction(0), one, 0)]
+    certified_interval = 0
+    certified_center = 0
+    skipped = 0
+    undecided = []
+    max_depth = 0
+    while stack:
+        a1, b1, a2, b2, depth = stack.pop()
+        max_depth = max(max_depth, depth)
+        if a1 + a2 > 1:
+            skipped += 1
+            continue
+        x3_lo = max(Fraction(0), 1 - b1 - b2)
+        x3_hi = 1 - a1 - a2
+        x1 = Interval(a1, b1)
+        x2 = Interval(a2, b2)
+        x3 = Interval(x3_lo, x3_hi)
+        if (
+            abs(a1 - THIRD) <= CENTER_RADIUS
+            and abs(b1 - THIRD) <= CENTER_RADIUS
+            and abs(a2 - THIRD) <= CENTER_RADIUS
+            and abs(b2 - THIRD) <= CENTER_RADIUS
+            and abs(x3_lo - THIRD) <= CENTER_RADIUS
+            and abs(x3_hi - THIRD) <= CENTER_RADIUS
+        ):
+            certified_center += 1
+            continue
+        direct = oracle_margin_interval(x1, x2, x3)
+        centered = oracle_margin_interval_centered(x1, x2, x3)
+        if max(direct.lo, centered.lo) >= 0:
+            certified_interval += 1
+            continue
+        width = max(b1 - a1, b2 - a2)
+        if width < min_width:
+            undecided.append((a1, b1, a2, b2))
+            continue
+        if b1 - a1 >= b2 - a2:
+            mid = (a1 + b1) / 2
+            stack.append((a1, mid, a2, b2, depth + 1))
+            stack.append((mid, b1, a2, b2, depth + 1))
+        else:
+            mid = (a2 + b2) / 2
+            stack.append((a1, b1, a2, mid, depth + 1))
+            stack.append((a1, b1, mid, b2, depth + 1))
+    return CertificateReport(
+        min_width=min_width,
+        boxes_certified_interval=certified_interval,
+        boxes_certified_center=certified_center,
+        boxes_skipped_outside=skipped,
+        undecided=tuple(undecided),
+        max_depth=max_depth,
+    )
+
+
+def oracle_verify_simplex_inequality(d: int) -> GridReport:
+    """The grid sweep with every margin a Fraction."""
+    worst: Optional[Fraction] = None
+    arg = (Fraction(0), Fraction(0), Fraction(0))
+    zeros = []
+    points = 0
+    for a in range(d + 1):
+        for b in range(d + 1 - a):
+            c = d - a - b
+            x = (Fraction(a, d), Fraction(b, d), Fraction(c, d))
+            value = margin(*x)
+            points += 1
+            if value == 0:
+                zeros.append(x)
+            if worst is None or value < worst or (value == worst and x < arg):
+                worst = value
+                arg = x
+    return GridReport(d, points, worst, arg, tuple(zeros))
 
 
 def random_graph(rng: random.Random, n: int, density: float) -> ThreeGraph:

@@ -36,6 +36,14 @@ def test_construct_b_and_sweep(tmp_path, capsys):
     assert code == 0 and out.startswith("n1,n2,n3,l2")
 
 
+def test_construct_rejects_negative_sweep(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--sweep", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--sweep" in captured.err and captured.out == ""
+
+
 def test_classify_improve_roundtrip(tmp_path, capsys):
     stem = tmp_path / "c6"
     run(["construct", "--type", "C", "--sizes", "2,2,2", "--output", str(stem)], capsys)

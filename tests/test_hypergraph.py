@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     oracle_canonical,
@@ -179,6 +181,27 @@ def test_edge_addition_strictly_raises_l2(rng):
         t = rng.choice(missing)
         bigger = h.with_changes(add=[t])
         assert l2_norm(bigger) >= l2_norm(h) + 3
+
+
+@st.composite
+def _edit(draw):
+    n = draw(st.integers(3, 8))
+    triples = st.sampled_from(list(itertools.combinations(range(n), 3)))
+    base = sorted(draw(st.sets(triples)))
+    return base, draw(st.sets(triples)), draw(st.sets(triples))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edit())
+# a triple added and removed, an absent remove, a present add; then no edits
+@example(([(0, 1, 2), (0, 1, 3)], {(0, 1, 3), (1, 2, 3)}, {(0, 1, 3), (0, 2, 3)}))
+@example(([(0, 1, 2)], set(), set()))
+def test_merge_edit_property(edit):
+    base, add, rem = edit
+    expected = sorted((set(base) - rem) | add)
+    assert merge_edit(base, add, rem) == expected
+    assert merge_edit(tuple(base), sorted(add), tuple(rem)) == expected
+    assert merge_edit(base) == base
 
 
 def test_merge_edit_matches_set_semantics(rng):

@@ -3,13 +3,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import oracle_contains_complete, random_graph
+from conftest import (
+    Interval,
+    oracle_certify_simplex_inequality,
+    oracle_contains_complete,
+    oracle_margin_interval,
+    oracle_margin_interval_centered,
+    oracle_verify_simplex_inequality,
+    random_graph,
+)
 from turanl2.errors import SameVertex
 from turanl2.hypergraph import contains_k43, l2_norm, make_graph, two_norm_degree
 from turanl2.inequality import (
     CENTER_RADIUS,
     THIRD,
+    _margin_centered,
+    _margin_direct,
     center_lemma_floor,
     certify_simplex_inequality,
     duplicate_vertex,
@@ -80,6 +92,64 @@ def test_grid_report_values_recompute():
     report = verify_simplex_inequality(40)
     assert report.points == 41 * 42 // 2
     assert margin(*report.argmin) == report.worst_margin
+
+
+@pytest.mark.parametrize("d", [*range(1, 61), 200])
+def test_grid_report_matches_fraction_oracle(d):
+    assert verify_simplex_inequality(d) == oracle_verify_simplex_inequality(d)
+
+
+@pytest.mark.parametrize(
+    "width", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 1024), Fraction(1, 10**6)]
+)
+def test_certificate_matches_fraction_oracle(width):
+    assert certify_simplex_inequality(width) == oracle_certify_simplex_inequality(width)
+
+
+def test_coarse_certificate_reports_undecided_boxes():
+    for width in (Fraction(1, 2), Fraction(1, 3)):
+        cert = certify_simplex_inequality(width)
+        assert len(cert.undecided) == 11 and not cert.certified
+        assert all(isinstance(v, Fraction) for box in cert.undecided for v in box)
+
+
+def test_default_certificate_counts():
+    cert = certify_simplex_inequality()
+    assert (
+        cert.boxes_certified_interval,
+        cert.boxes_certified_center,
+        cert.boxes_skipped_outside,
+        cert.max_depth,
+    ) == (180, 8, 9, 11)
+
+
+def _dyadic_interval(depth):
+    one = 1 << depth
+    ends = st.integers(-one, 2 * one)
+    return st.tuples(ends, ends).map(sorted)
+
+
+@st.composite
+def _dyadic_box(draw):
+    depth = draw(st.integers(0, 14))
+    return depth, [draw(_dyadic_interval(depth)) for _ in range(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dyadic_box())
+def test_integer_enclosures_are_scaled_fraction_enclosures(box):
+    depth, ends = box
+    one = 1 << depth
+    t = 3 * one
+    scaled = [(3 * lo, 3 * hi) for lo, hi in ends]
+    rational = [Interval(Fraction(lo, one), Fraction(hi, one)) for lo, hi in ends]
+    for integer, oracle, scale in (
+        (_margin_direct, oracle_margin_interval, 2700 * t**3),
+        (_margin_centered, oracle_margin_interval_centered, 300 * t**3),
+    ):
+        lo, hi = integer(*scaled, one)
+        expected = oracle(*rational)
+        assert lo == expected.lo * scale and hi == expected.hi * scale
 
 
 def test_certificate_has_no_undecided_boxes():
