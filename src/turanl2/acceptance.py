@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import census as census_mod
-from .classification import Thresholds
+from .classification import TOGGLE_PHASES, Thresholds
 from .colored import (
     check_symmetrized_facts,
     is_cyclic_triangle_free,
@@ -225,7 +225,7 @@ def criterion_7_toggle_increase(
     failures = 0
     for phase, n, sub_seed in plan:
         sub = random.Random(sub_seed)
-        coeff = 47 if phase == "one" else 90
+        coeff = TOGGLE_PHASES[phase].coeff
         # xi small enough that the planted count fits inside a part
         xi = Fraction(1, (coeff * 4) ** 2 * 4)
         h, p, pair = generate_phase_instance(sub, n, xi, phase)

@@ -28,7 +28,7 @@ from .constructions import (
     compositions_of,
     cyclic_triples,
 )
-from .errors import SizeLimitExceeded
+from .errors import SizeLimitExceeded, TuranL2Error
 from .hypergraph import (
     ThreeGraph,
     all_triples,
@@ -295,6 +295,8 @@ def census_colored_mantel(
             )
         return _mantel_exhaustive(n, objective)
     if mode == "assisted":
+        if n < 1:
+            raise TuranL2Error(f"assisted colored census needs part size at least 1, got {n}")
         return _mantel_assisted(n, objective, class_cap)
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -6,17 +6,27 @@ construction but not in H).  Bad edges split further into internal (inside
 one part) and bi (meeting exactly two parts); missing edges into transversal
 (meeting all three parts) and bi.  This module classifies, computes family
 degree/codegree statistics, optimizes the partition, and evaluates the
-hypothesis checklists of the two local-improvement operators.
+hypothesis checklists of the two local-improvement operators.  Each toggle
+phase (pair kind, refilled family, coefficient, item texts) is defined once,
+in ``TOGGLE_PHASES``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
-from .constructions import CYCLIC_TABLE, Partition3, construction, next_part
+from .constructions import (
+    CYCLIC_TABLE,
+    Partition3,
+    construction,
+    cyclic_move_inequalities,
+    part_pair_counts,
+)
 from .errors import (
     EdgeNotCrossing,
     EdgeNotInShadow,
@@ -251,19 +261,51 @@ def link_move_inequalities(h: ThreeGraph, p: Partition3, v: int) -> tuple[bool, 
     other part does not increase the construction overlap."""
     if p.n != h.n:
         raise PartitionMismatch(f"partition covers {p.n} vertices, graph has {h.n}")
-    here = p.part_of(v)
-    j, k = next_part(here), next_part(next_part(here))
-    parts = p.parts
-    counts: Counter = Counter()
-    for a, b in link(h, v).edges:
-        counts[tuple(sorted((parts[a], parts[b])))] += 1
+    counts = part_pair_counts(link(h, v).edges, p.parts)
+    return cyclic_move_inequalities(counts, p.part_of(v))
 
-    def cnt(x, y):
-        return counts.get(tuple(sorted((x, y))), 0)
 
-    first = cnt(here, j) + cnt(k, k) >= cnt(here, k) + cnt(here, here)
-    second = cnt(j, k) + cnt(k, k) >= cnt(here, k) + cnt(j, j)
-    return first, second
+@dataclass(frozen=True)
+class TogglePhase:
+    """One local toggle phase.
+
+    The toggle at e* removes the bad edges through e* and refills the
+    ``missing`` family through e*.  ``internal`` says whether e* lies inside
+    one part (phase one) or crosses two parts (phase two); item iii of the
+    checklist asks for a refilled codegree of at least coeff * sqrt(xi) * n,
+    and only phase one has item v.
+    """
+
+    internal: bool
+    missing: str
+    coeff: int
+    item_iii: str
+    item_iv: str
+    item_v: Optional[str] = None
+
+    def pair_fits(self, p: Partition3, pair: Pair) -> bool:
+        return (p.part_of(pair[0]) == p.part_of(pair[1])) == self.internal
+
+
+TOGGLE_PHASES: Mapping[str, TogglePhase] = MappingProxyType(
+    {
+        "one": TogglePhase(
+            internal=True,
+            missing="M",
+            coeff=47,
+            item_iii="squared missing codegree at e* at least 47^2 * xi * n^2",
+            item_iv="missing codegree at least bad codegree minus xi*n",
+            item_v="bi-bad codegree at e* at most xi*n",
+        ),
+        "two": TogglePhase(
+            internal=False,
+            missing="M_tri",
+            coeff=90,
+            item_iii="squared transversal-missing codegree at least 90^2 * xi * n^2",
+            item_iv="transversal-missing codegree at least bad codegree minus xi*n",
+        ),
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -282,16 +324,17 @@ class Thresholds:
 
     def at_least_sqrt_bound(self, d: int, coeff: int, n: int) -> bool:
         """d >= coeff * sqrt(xi) * n, decided exactly."""
-        return Fraction(d * d) >= coeff * coeff * self.xi * n * n
+        return d * d >= self.sqrt_bound_squared(coeff, n)
 
     def sqrt_bound_squared(self, coeff: int, n: int) -> Fraction:
         return coeff * coeff * self.xi * n * n
 
-    def sqrt_bound_enclosure(self, coeff: int, n: int) -> tuple[Fraction, Fraction]:
-        from .util import isqrt_enclosure
-
-        lo, hi = isqrt_enclosure(self.xi)
-        return coeff * lo * n, coeff * hi * n
+    def ceil_sqrt_bound(self, coeff: int, n: int) -> int:
+        """The smallest integer d with d >= coeff * sqrt(xi) * n."""
+        d = math.isqrt(math.ceil(self.sqrt_bound_squared(coeff, n)))
+        while not self.at_least_sqrt_bound(d, coeff, n):
+            d += 1
+        return d
 
 
 @dataclass(frozen=True)
@@ -373,50 +416,7 @@ def check_phase_one_hypotheses(
     ec: Optional[EdgeClassification] = None,
 ) -> Checklist:
     """Five-item checklist for an internal pair (squared form for item iii)."""
-    pair = normalize_pair(e_star, h.n)
-    if p.part_of(pair[0]) != p.part_of(pair[1]):
-        raise EdgeNotInternal(f"pair {pair} crosses parts")
-    if h.codegrees().get(pair, 0) == 0:
-        raise EdgeNotInShadow(f"pair {pair} is covered by no edge")
-    n = h.n
-    xi = t.xi
-    if ec is None:
-        ec = classify_edges(h, p)
-    d_m = ec.codegree("M", pair)
-    d_b = ec.codegree("B", pair)
-    d_bbi = ec.codegree("B_bi", pair)
-    items = _shared_items(h, p, t, ec)
-    items.append(
-        ChecklistItem(
-            "iii",
-            "squared missing codegree at e* at least 47^2 * xi * n^2",
-            Fraction(d_m * d_m),
-            t.sqrt_bound_squared(47, n),
-            ">=",
-            t.at_least_sqrt_bound(d_m, 47, n),
-        )
-    )
-    items.append(
-        ChecklistItem(
-            "iv",
-            "missing codegree at least bad codegree minus xi*n",
-            Fraction(d_m),
-            Fraction(d_b) - xi * n,
-            ">=",
-            Fraction(d_m) >= Fraction(d_b) - xi * n,
-        )
-    )
-    items.append(
-        ChecklistItem(
-            "v",
-            "bi-bad codegree at e* at most xi*n",
-            Fraction(d_bbi),
-            xi * n,
-            "<=",
-            Fraction(d_bbi) <= xi * n,
-        )
-    )
-    return Checklist("one", pair, tuple(items))
+    return _phase_checklist("one", h, p, e_star, t, ec)
 
 
 def check_phase_two_hypotheses(
@@ -427,8 +427,22 @@ def check_phase_two_hypotheses(
     ec: Optional[EdgeClassification] = None,
 ) -> Checklist:
     """Four-item checklist for a crossing pair, transversal-missing flavored."""
+    return _phase_checklist("two", h, p, e_star, t, ec)
+
+
+def _phase_checklist(
+    phase: str,
+    h: ThreeGraph,
+    p: Partition3,
+    e_star: Sequence[int],
+    t: Thresholds,
+    ec: Optional[EdgeClassification],
+) -> Checklist:
+    spec = TOGGLE_PHASES[phase]
     pair = normalize_pair(e_star, h.n)
-    if p.part_of(pair[0]) == p.part_of(pair[1]):
+    if not spec.pair_fits(p, pair):
+        if spec.internal:
+            raise EdgeNotInternal(f"pair {pair} crosses parts")
         raise EdgeNotCrossing(f"pair {pair} lies inside one part")
     if h.codegrees().get(pair, 0) == 0:
         raise EdgeNotInShadow(f"pair {pair} is covered by no edge")
@@ -436,27 +450,39 @@ def check_phase_two_hypotheses(
     xi = t.xi
     if ec is None:
         ec = classify_edges(h, p)
-    d_mtri = ec.codegree("M_tri", pair)
+    d_m = ec.codegree(spec.missing, pair)
     d_b = ec.codegree("B", pair)
     items = _shared_items(h, p, t, ec)
     items.append(
         ChecklistItem(
             "iii",
-            "squared transversal-missing codegree at least 90^2 * xi * n^2",
-            Fraction(d_mtri * d_mtri),
-            t.sqrt_bound_squared(90, n),
+            spec.item_iii,
+            Fraction(d_m * d_m),
+            t.sqrt_bound_squared(spec.coeff, n),
             ">=",
-            t.at_least_sqrt_bound(d_mtri, 90, n),
+            t.at_least_sqrt_bound(d_m, spec.coeff, n),
         )
     )
     items.append(
         ChecklistItem(
             "iv",
-            "transversal-missing codegree at least bad codegree minus xi*n",
-            Fraction(d_mtri),
+            spec.item_iv,
+            Fraction(d_m),
             Fraction(d_b) - xi * n,
             ">=",
-            Fraction(d_mtri) >= Fraction(d_b) - xi * n,
+            Fraction(d_m) >= Fraction(d_b) - xi * n,
         )
     )
-    return Checklist("two", pair, tuple(items))
+    if spec.item_v is not None:
+        d_bbi = ec.codegree("B_bi", pair)
+        items.append(
+            ChecklistItem(
+                "v",
+                spec.item_v,
+                Fraction(d_bbi),
+                xi * n,
+                "<=",
+                Fraction(d_bbi) <= xi * n,
+            )
+        )
+    return Checklist(phase, pair, tuple(items))

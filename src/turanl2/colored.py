@@ -15,7 +15,6 @@ model in ``constructions``; they are re-exported here.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -25,7 +24,9 @@ from .constructions import (
     CYCLIC_TABLE,
     CYCLIC_TRIANGLE_TYPES,
     Partition3,
+    cyclic_move_inequalities,
     next_part,
+    part_pair_counts,
     prev_part,
 )
 from .errors import (
@@ -139,34 +140,14 @@ def build_lambda(n1: int, n2: int, n3: int) -> ColoredGraph:
     return ColoredGraph(make_pair_graph(n1 + n2 + n3, edges), partition)
 
 
-def _part_pair_counts(cg: ColoredGraph) -> dict[tuple[int, int], int]:
-    """Edge counts keyed by sorted part pair: (i,i) internal, (i,j) crossing."""
-    parts = cg.partition.parts
-    cnt: Counter = Counter()
-    for a, b in cg.graph.edges:
-        key = tuple(sorted((parts[a], parts[b])))
-        cnt[key] += 1
-    return dict(cnt)
-
-
 def is_locally_maximal(cg: ColoredGraph) -> tuple[bool, Optional[int]]:
     """Some part index i satisfies the two cyclic edge-count inequalities.
 
     Returns (holds, smallest witnessing i or None).
     """
-    c = _part_pair_counts(cg)
-
-    def internal(i):
-        return c.get((i, i), 0)
-
-    def cross(i, j):
-        return c.get(tuple(sorted((i, j))), 0)
-
+    counts = part_pair_counts(cg.graph.edges, cg.partition.parts)
     for i in (1, 2, 3):
-        j, k = next_part(i), next_part(next_part(i))
-        first = cross(i, j) + internal(k) >= cross(i, k) + internal(i)
-        second = cross(j, k) + internal(k) >= cross(i, k) + internal(j)
-        if first and second:
+        if all(cyclic_move_inequalities(counts, i)):
             return True, i
     return False, None
 

@@ -6,8 +6,9 @@
 .p3  partition sidecar: a single line over {1,2,3}, one character per vertex.
 .cg  colored 2-graph: "n", color string, "m", then m lines "a b".
 
-Lines starting with '#' and blank lines are ignored on input.  A repeated
-triple or pair (in any vertex order) is rejected, never merged.
+Lines starting with '#' and blank lines are ignored on input, so the color
+line of a 0-vertex partition, which is blank, is absent.  A repeated triple or
+pair (in any vertex order) is rejected, never merged.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def write_h3(h: ThreeGraph) -> str:
 
 
 def parse_p3(text: str) -> Partition3:
-    lines = _content_lines(text)
+    lines = _content_lines(text) or [""]
     if len(lines) != 1:
         raise FormatError(".p3 must be a single color line")
     return Partition3.from_string(lines[0])
@@ -85,9 +86,11 @@ def write_p3(p: Partition3) -> str:
 
 def parse_cg(text: str) -> ColoredGraph:
     lines = _content_lines(text)
+    (n,) = _ints(lines[0] if lines else "", 1, ".cg vertex count")
+    if n == 0:
+        lines.insert(1, "")
     if len(lines) < 3:
         raise FormatError(".cg needs at least n, colors, and m lines")
-    (n,) = _ints(lines[0], 1, ".cg vertex count")
     partition = Partition3.from_string(lines[1])
     if partition.n != n:
         raise FormatError(f".cg color line has {partition.n} entries, expected {n}")

@@ -18,11 +18,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .classification import (
+    TOGGLE_PHASES,
     Checklist,
     Thresholds,
     check_phase_one_hypotheses,
     check_phase_two_hypotheses,
     classify_edges,
+    family_stats,
 )
 from .constructions import Composition3, Partition3, construction, prev_part
 from .errors import EdgePhaseMismatch
@@ -35,7 +37,7 @@ from .hypergraph import (
     normalize_pair,
 )
 
-PHASES = ("one", "two")
+PHASES = tuple(TOGGLE_PHASES)  # ("one", "two"), the order falsification_search draws from
 
 
 @dataclass(frozen=True)
@@ -93,19 +95,17 @@ def apply_toggle(
     """
     if phase not in PHASES:
         raise ValueError(f"phase must be one of {PHASES}")
+    spec = TOGGLE_PHASES[phase]
     pair = normalize_pair(e_star, h.n)
     u1, u2 = pair
-    internal = p.part_of(u1) == p.part_of(u2)
-    if phase == "one" and not internal:
-        raise EdgePhaseMismatch(f"phase-one pair {pair} must lie inside one part")
-    if phase == "two" and internal:
-        raise EdgePhaseMismatch(f"phase-two pair {pair} must cross two parts")
+    if not spec.pair_fits(p, pair):
+        where = "lie inside one part" if spec.internal else "cross two parts"
+        raise EdgePhaseMismatch(f"phase-{phase} pair {pair} must {where}")
 
     if ec is None:
         ec = classify_edges(h, p)
     removed = frozenset(t for t in ec.b if u1 in t and u2 in t)
-    pool = ec.m if phase == "one" else ec.m_tri
-    added = frozenset(t for t in pool if u1 in t and u2 in t)
+    added = frozenset(t for t in ec.family(spec.missing) if u1 in t and u2 in t)
 
     cd = h.codegrees()
     l2_before = l2_norm(h)
@@ -123,7 +123,7 @@ def apply_toggle(
     for e in s1:
         d = cd.get(e, 0)
         delta += 2 * d + 1
-    if phase == "one":
+    if spec.internal:
         parts = p.parts
         part = parts[u1]
         same = [w for w in removed_thirds if parts[w] == part]
@@ -246,8 +246,8 @@ def build_queues(h: ThreeGraph, p: Partition3, delta4: Fraction) -> Queues:
         raise ValueError("delta4 must lie strictly between 0 and 1")
     n = h.n
     ec = classify_edges(h, p)
-    m_cod = _family_codegrees(ec.m)
-    mtri_cod = _family_codegrees(ec.m_tri)
+    m_cod = family_stats(ec, "M").pair_codegrees
+    mtri_cod = family_stats(ec, "M_tri").pair_codegrees
 
     parts = p.parts
     i_pairs = []
@@ -272,14 +272,6 @@ def build_queues(h: ThreeGraph, p: Partition3, delta4: Fraction) -> Queues:
         if m_cod.get(same_pair, 0) <= delta4 * n:
             b_tilde.add(t)
     return Queues(tuple(sorted(i_pairs)), tuple(sorted(j_pairs)), frozenset(b_tilde))
-
-
-def _family_codegrees(fam: frozenset[Triple]) -> dict[Pair, int]:
-    cod: dict[Pair, int] = {}
-    for a, b, c in fam:
-        for e in ((a, b), (a, c), (b, c)):
-            cod[e] = cod.get(e, 0) + 1
-    return cod
 
 
 @dataclass(frozen=True)
@@ -365,7 +357,8 @@ def two_phase_driver(
         rng.shuffle(j_pairs)
 
     queue_pairs = set(queues.i_pairs) | set(queues.j_pairs)
-    bad_initial = classify_edges(h, p).b
+    ec = classify_edges(h, p)
+    bad_initial = ec.b
     covered = all(
         any(tuple(sorted(e)) in queue_pairs for e in itertools.combinations(t, 2))
         for t in bad_initial
@@ -374,27 +367,26 @@ def two_phase_driver(
     current = h
     steps: list[DriverStep] = []
     l2s = [l2_norm(h)]
-    prev_bad = bad_initial
-    prev_missing = classify_edges(h, p).m
     bad_monotone = True
     missing_monotone = True
     free = not contains_k43(h) if check_freeness else None
 
+    # each state is classified once: the toggle reads it, the next state's
+    # families are compared against it
     for phase, pairs in (("one", i_pairs), ("two", j_pairs)):
         for e in pairs:
-            current, report = apply_toggle(current, p, e, phase)
-            ec = classify_edges(current, p)
-            if not ec.b <= prev_bad:
+            current, report = apply_toggle(current, p, e, phase, ec=ec)
+            prev, ec = ec, classify_edges(current, p)
+            if not ec.b <= prev.b:
                 bad_monotone = False
-            if not ec.m <= prev_missing:
+            if not ec.m <= prev.m:
                 missing_monotone = False
-            prev_bad, prev_missing = ec.b, ec.m
             l2s.append(report.l2_after)
             steps.append(DriverStep(phase, report.e_star, report, len(ec.b)))
             if check_freeness and free:
                 free = not contains_k43(current)
 
-    bad_final = classify_edges(current, p).b
+    bad_final = ec.b
     return DriverTrace(
         initial=h,
         final=current,
@@ -423,8 +415,8 @@ def generate_phase_instance(
     """A near-construction instance around a distinguished pair e*.
 
     Starting from the cyclic construction on a near-balanced composition,
-    plants at least ceil(47*sqrt(xi)*n) (phase one) or ceil(90*sqrt(xi)*n)
-    (phase two) missing co-neighbors at e*, plus at most floor(xi*n) bad
+    plants at least ceil(coeff*sqrt(xi)*n) missing co-neighbors at e*, with
+    the phase's checklist coefficient, plus at most floor(xi*n) bad
     co-neighbors of the kind the corresponding checklist tolerates.  The
     codegree-gap items of the checklist hold by construction (the balance
     item additionally needs 3 | n, since a near-balanced split is off by up
@@ -441,29 +433,18 @@ def generate_phase_instance(
     removed: set[Triple] = set()
     added: set[Triple] = set()
 
-    import math
-
-    def ceil_sqrt_mult(coeff: int) -> int:
-        # smallest integer k with k >= coeff * sqrt(xi) * n
-        target = coeff * coeff * xi * n * n
-        k = math.isqrt(math.ceil(target))
-        while k * k < target:
-            k += 1
-        return k
-
-    if phase == "one":
+    spec = TOGGLE_PHASES[phase]
+    if spec.internal:
         u1, u2 = sorted(rng.sample(list(v1), 2))
         pool = list(v2)
-        coeff = 47
         bad_pool = [w for w in v1 if w not in (u1, u2)]
     else:
         u1 = rng.choice(list(v1))
         u2 = rng.choice(list(v2))
         pool = list(v3)
-        coeff = 90
         bad_pool = [w for w in v2 if w != u2]
 
-    need = min(max(ceil_sqrt_mult(coeff), 1), len(pool))
+    need = min(max(Thresholds(xi).ceil_sqrt_bound(spec.coeff, n), 1), len(pool))
     missing = rng.sample(pool, need)
     for w in missing:
         removed.add(tuple(sorted((u1, u2, w))))

@@ -6,12 +6,17 @@ import json
 from fractions import Fraction
 from typing import Any
 
+from .errors import TuranL2Error
+
 _JSON_INT_LIMIT = 1 << 53
 
 
 def parse_fraction(text: str) -> Fraction:
     """Parse an exact rational given as 'p', 'p/q', or a decimal literal."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise TuranL2Error(f"not an exact rational: {text!r}") from exc
 
 
 def frac_str(x: Fraction) -> str:
@@ -48,22 +53,3 @@ def jsonable(obj: Any) -> Any:
 def dump_json(obj: Any, indent: int = 2) -> str:
     """Deterministic JSON text: sorted keys, fixed separators, exact values."""
     return json.dumps(jsonable(obj), indent=indent, sort_keys=True)
-
-
-def isqrt_enclosure(x: Fraction) -> tuple[Fraction, Fraction]:
-    """Return rationals (lo, hi) with lo <= sqrt(x) <= hi and hi - lo <= 1e-12.
-
-    Exact when x is a perfect square of a rational (then lo == hi).
-    """
-    if x < 0:
-        raise ValueError("negative radicand")
-    num, den = x.numerator, x.denominator
-    import math
-
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        root = Fraction(rn, rd)
-        return root, root
-    scale = 10**12
-    lo = math.isqrt(num * den * scale * scale) // den
-    return Fraction(lo, scale), Fraction(lo + 1, scale)

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's optimized paths: norms are
 recounted from raw pair iteration, canonical forms are minimized over every
 permutation, subgraph searches enumerate vertex subsets directly, the
-cyclic construction is recounted from the part counts of every triple, and
-the simplex certificate and grid sweep are rerun in Fraction arithmetic.
+cyclic construction is recounted from the part counts of every triple, the
+simplex certificate and grid sweep are rerun in Fraction arithmetic, and the
+two toggle checklists are written out separately, one body per phase.
 """
 
 import itertools
@@ -16,7 +17,14 @@ from typing import Optional
 
 import pytest
 
-from turanl2.hypergraph import ThreeGraph
+from turanl2.classification import (
+    Checklist,
+    ChecklistItem,
+    _shared_items,
+    classify_edges,
+)
+from turanl2.errors import EdgeNotCrossing, EdgeNotInShadow, EdgeNotInternal
+from turanl2.hypergraph import ThreeGraph, normalize_pair
 from turanl2.inequality import (
     CENTER_RADIUS,
     THIRD,
@@ -217,6 +225,94 @@ def oracle_verify_simplex_inequality(d: int) -> GridReport:
                 worst = value
                 arg = x
     return GridReport(d, points, worst, arg, tuple(zeros))
+
+
+# --- one body per phase: the oracle for the table-driven checklist ---
+
+
+def oracle_phase_one_checklist(h, p, e_star, t, ec=None) -> Checklist:
+    pair = normalize_pair(e_star, h.n)
+    if p.part_of(pair[0]) != p.part_of(pair[1]):
+        raise EdgeNotInternal(f"pair {pair} crosses parts")
+    if h.codegrees().get(pair, 0) == 0:
+        raise EdgeNotInShadow(f"pair {pair} is covered by no edge")
+    n = h.n
+    xi = t.xi
+    if ec is None:
+        ec = classify_edges(h, p)
+    d_m = ec.codegree("M", pair)
+    d_b = ec.codegree("B", pair)
+    d_bbi = ec.codegree("B_bi", pair)
+    items = _shared_items(h, p, t, ec)
+    bound = 47 * 47 * xi * n * n
+    items.append(
+        ChecklistItem(
+            "iii",
+            "squared missing codegree at e* at least 47^2 * xi * n^2",
+            Fraction(d_m * d_m),
+            bound,
+            ">=",
+            Fraction(d_m * d_m) >= bound,
+        )
+    )
+    items.append(
+        ChecklistItem(
+            "iv",
+            "missing codegree at least bad codegree minus xi*n",
+            Fraction(d_m),
+            Fraction(d_b) - xi * n,
+            ">=",
+            Fraction(d_m) >= Fraction(d_b) - xi * n,
+        )
+    )
+    items.append(
+        ChecklistItem(
+            "v",
+            "bi-bad codegree at e* at most xi*n",
+            Fraction(d_bbi),
+            xi * n,
+            "<=",
+            Fraction(d_bbi) <= xi * n,
+        )
+    )
+    return Checklist("one", pair, tuple(items))
+
+
+def oracle_phase_two_checklist(h, p, e_star, t, ec=None) -> Checklist:
+    pair = normalize_pair(e_star, h.n)
+    if p.part_of(pair[0]) == p.part_of(pair[1]):
+        raise EdgeNotCrossing(f"pair {pair} lies inside one part")
+    if h.codegrees().get(pair, 0) == 0:
+        raise EdgeNotInShadow(f"pair {pair} is covered by no edge")
+    n = h.n
+    xi = t.xi
+    if ec is None:
+        ec = classify_edges(h, p)
+    d_mtri = ec.codegree("M_tri", pair)
+    d_b = ec.codegree("B", pair)
+    items = _shared_items(h, p, t, ec)
+    bound = 90 * 90 * xi * n * n
+    items.append(
+        ChecklistItem(
+            "iii",
+            "squared transversal-missing codegree at least 90^2 * xi * n^2",
+            Fraction(d_mtri * d_mtri),
+            bound,
+            ">=",
+            Fraction(d_mtri * d_mtri) >= bound,
+        )
+    )
+    items.append(
+        ChecklistItem(
+            "iv",
+            "transversal-missing codegree at least bad codegree minus xi*n",
+            Fraction(d_mtri),
+            Fraction(d_b) - xi * n,
+            ">=",
+            Fraction(d_mtri) >= Fraction(d_b) - xi * n,
+        )
+    )
+    return Checklist("two", pair, tuple(items))
 
 
 def random_graph(rng: random.Random, n: int, density: float) -> ThreeGraph:

@@ -1,11 +1,13 @@
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_graph
+from conftest import oracle_phase_one_checklist, oracle_phase_two_checklist, random_graph
 from turanl2.classification import (
+    TOGGLE_PHASES,
     Thresholds,
     check_phase_one_hypotheses,
     check_phase_two_hypotheses,
@@ -16,17 +18,25 @@ from turanl2.classification import (
     link_move_inequalities,
     optimize_partition,
 )
-from turanl2.colored import Partition3
-from turanl2.constructions import Composition3, build_balanced_c, build_c
+from turanl2.colored import ColoredGraph, Partition3
+from turanl2.constructions import (
+    Composition3,
+    build_balanced_c,
+    build_c,
+    cyclic_move_inequalities,
+    part_pair_counts,
+)
 from turanl2.errors import (
     EdgeNotCrossing,
     EdgeNotInShadow,
     EdgeNotInternal,
     PartitionMismatch,
     SizeLimitExceeded,
+    TuranL2Error,
     UnknownFamily,
 )
-from turanl2.hypergraph import make_graph
+from turanl2.hypergraph import link, make_graph
+from turanl2.improvement import PHASES, generate_phase_instance
 
 
 def test_construction_edges_matches_builder_on_contiguous_partition():
@@ -162,6 +172,16 @@ class TestOptimizePartition:
         with pytest.raises(SizeLimitExceeded):
             optimize_partition(make_graph(13, []), "exhaustive")
 
+    def test_link_move_inequalities_are_the_colored_move_inequalities(self, rng):
+        for _ in range(200):
+            n = rng.randint(1, 10)
+            h = random_graph(rng, n, rng.random() * 0.6)
+            p = Partition3(tuple(rng.choice((1, 2, 3)) for _ in range(n)))
+            v = rng.randrange(n)
+            cg = ColoredGraph(link(h, v), p)
+            counts = part_pair_counts(cg.graph.edges, cg.partition.parts)
+            assert link_move_inequalities(h, p, v) == cyclic_move_inequalities(counts, p.parts[v])
+
     def test_link_move_inequalities_rejects_mismatched_partition(self):
         h = make_graph(5, [(0, 1, 2), (1, 3, 4)])
         for n in (4, 6):
@@ -227,8 +247,62 @@ def test_thresholds_square_comparison():
     t = Thresholds(Fraction(1, 4))  # sqrt(xi) = 1/2 exactly
     assert t.at_least_sqrt_bound(24, 47, 1)  # 24 >= 23.5
     assert not t.at_least_sqrt_bound(23, 47, 1)
-    lo, hi = t.sqrt_bound_enclosure(47, 1)
-    assert lo == hi == Fraction(47, 2)
-    t2 = Thresholds(Fraction(1, 3))
-    lo2, hi2 = t2.sqrt_bound_enclosure(1, 1)
-    assert lo2 < hi2 and lo2 * lo2 <= Fraction(1, 3) <= hi2 * hi2
+
+
+def test_thresholds_ceil_sqrt_bound(rng):
+    t = Thresholds(Fraction(1, 4))
+    assert t.ceil_sqrt_bound(47, 1) == 24 and t.ceil_sqrt_bound(46, 1) == 23
+    for _ in range(300):
+        t = Thresholds(Fraction(rng.randint(1, 50), rng.randint(1, 10**6)))
+        coeff, n = rng.randint(1, 100), rng.randint(1, 200)
+        d = t.ceil_sqrt_bound(coeff, n)
+        assert t.at_least_sqrt_bound(d, coeff, n)
+        assert d == 0 or (d - 1) ** 2 < coeff * coeff * t.xi * n * n
+
+
+class TestPhaseTable:
+    CHECKERS = {"one": check_phase_one_hypotheses, "two": check_phase_two_hypotheses}
+    ORACLES = {"one": oracle_phase_one_checklist, "two": oracle_phase_two_checklist}
+
+    def test_phases_are_the_table_keys_in_order(self):
+        assert PHASES == tuple(TOGGLE_PHASES) == ("one", "two")
+        assert TOGGLE_PHASES["one"].internal and not TOGGLE_PHASES["two"].internal
+        with pytest.raises(TypeError):
+            TOGGLE_PHASES["three"] = TOGGLE_PHASES["one"]
+
+    def test_checklist_matches_one_body_per_phase(self):
+        rng = random.Random(20240817)
+        seen = Counter()
+        for trial in range(600):
+            if trial % 3 == 0:
+                # a planted near-construction instance: items iii to v can pass
+                xi = Fraction(1, rng.choice((4, 64, 1024, 40000, 10**6)))
+                h, p, pair = generate_phase_instance(
+                    rng, rng.randint(9, 30), xi, rng.choice(PHASES)
+                )
+            else:
+                n = rng.randint(3, 12)
+                h = random_graph(rng, n, rng.random() * 0.6)
+                p = Partition3(tuple(rng.choice((1, 2, 3)) for _ in range(n)))
+                pair = rng.sample(range(n), 2)
+                xi = Fraction(1, rng.choice((1, 4, 16, 10**4)))
+            t = Thresholds(xi)
+            ec = classify_edges(h, p) if rng.random() < 0.5 else None
+            for phase in PHASES:
+                outcomes = []
+                for fn in (self.CHECKERS[phase], self.ORACLES[phase]):
+                    try:
+                        outcomes.append(fn(h, p, pair, t, ec=ec))
+                    except TuranL2Error as exc:
+                        outcomes.append((type(exc), str(exc)))
+                got, want = outcomes
+                assert got == want, (trial, phase)
+                if isinstance(got, tuple):
+                    seen[phase, got[0].__name__] += 1
+                else:
+                    assert got.to_json_dict() == want.to_json_dict()
+                    seen.update((phase, i.id, i.passed) for i in got.items)
+        for phase, kind_error in (("one", "EdgeNotInternal"), ("two", "EdgeNotCrossing")):
+            assert seen[phase, kind_error] and seen[phase, "EdgeNotInShadow"]
+            for item in ("i", "ii", "iii", "iv", "v")[: 5 if phase == "one" else 4]:
+                assert seen[phase, item, True] and seen[phase, item, False], (phase, item)

@@ -157,3 +157,25 @@ def test_removed_options_are_rejected(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_assisted_mantel_rejects_empty_parts(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mantel", "--n", "0", "--mode", "assisted"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "part size" in captured.err and captured.out == ""
+
+
+def test_bad_rationals_are_usage_errors(tmp_path, capsys):
+    stem = tmp_path / "c6"
+    run(["construct", "--type", "C", "--sizes", "2,2,2", "--output", str(stem)], capsys)
+    improve = ["improve", "--input", str(stem.with_suffix(".h3")),
+               "--partition", str(stem.with_suffix(".p3")), "--delta4"]
+    for argv in (["ineq", "--resolution", "3", "--interval", "--width", "1/0"],
+                 improve + ["1/0"], improve + ["one/two"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert repr(argv[-1]) in captured.err and captured.out == ""

@@ -1,6 +1,10 @@
-import pytest
+import itertools
 
-from turanl2.colored import Partition3, build_lambda
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from turanl2.colored import ColoredGraph, Partition3, build_lambda
 from turanl2.constructions import build_balanced_c
 from turanl2.errors import FormatError, VertexOutOfRange
 from turanl2.formats import (
@@ -11,6 +15,54 @@ from turanl2.formats import (
     write_h3,
     write_p3,
 )
+from turanl2.hypergraph import make_graph, make_pair_graph
+
+labels = st.sampled_from((1, 2, 3))
+
+
+@st.composite
+def _edge_sets(draw, n: int, arity: int) -> list:
+    """A random subset of the arity-sets of range(n), in a random order and
+    with each edge's vertices shuffled."""
+    edges = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), arity))),
+                          unique=True)) if n >= arity else []
+    return [draw(st.permutations(e)) for e in edges]
+
+
+@st.composite
+def _three_graphs(draw):
+    n = draw(st.integers(0, 8))
+    return make_graph(n, draw(_edge_sets(n, 3)))
+
+
+@st.composite
+def _colored_graphs(draw):
+    parts = draw(st.lists(labels, max_size=9))
+    g = make_pair_graph(len(parts), draw(_edge_sets(len(parts), 2)))
+    return ColoredGraph(g, Partition3(parts))
+
+
+@given(_three_graphs())
+@example(make_graph(0, []))
+@example(make_graph(1, []))
+def test_h3_roundtrip_property(h):
+    assert parse_h3(write_h3(h)) == h
+
+
+@given(st.lists(labels, max_size=40))
+@example([])
+@example([2])
+def test_p3_roundtrip_property(parts):
+    p = Partition3(parts)
+    assert parse_p3(write_p3(p)) == p
+
+
+@given(_colored_graphs())
+@example(ColoredGraph(make_pair_graph(0, []), Partition3(())))
+@example(ColoredGraph(make_pair_graph(1, []), Partition3((3,))))
+def test_cg_roundtrip_property(cg):
+    assert parse_cg(write_cg(cg)) == cg
+
 
 def test_h3_roundtrip():
     c6, _ = build_balanced_c(6)

@@ -8,6 +8,7 @@ from turanl2.colored import Partition3
 from turanl2.constructions import build_balanced_c
 from turanl2.errors import EdgePhaseMismatch
 from turanl2.hypergraph import l2_norm, make_graph
+from turanl2 import improvement
 from turanl2.improvement import (
     apply_toggle,
     build_queues,
@@ -175,6 +176,24 @@ class TestDriver:
 
         step = json.loads(lines[0])
         assert set(step) == {"phase", "e_star", "removed", "added", "delta", "l2"}
+
+    @pytest.mark.parametrize("order_seed", (None, 5))
+    def test_each_state_is_classified_once(self, monkeypatch, order_seed):
+        calls = []
+
+        def counting(h, p):
+            calls.append(h)
+            return classify_edges(h, p)
+
+        monkeypatch.setattr(improvement, "classify_edges", counting)
+        c9, p9 = build_balanced_c(9)
+        mixed = c9.with_changes(add=[(0, 1, 6), (0, 3, 4)], remove=[(0, 1, 3), (0, 3, 6)])
+        for h in (c9, mixed):
+            calls.clear()
+            trace = two_phase_driver(h, p9, order_seed=order_seed)
+            # the queues and the initial state once each, then each step's result
+            assert len(calls) == len(trace.steps) + 2
+        assert len(trace.steps) >= 3 and {s.phase for s in trace.steps} == {"one", "two"}
 
     def test_order_seed_permutes_queues_only(self):
         c6, p6 = build_balanced_c(6)

@@ -2,8 +2,9 @@
 
 The 3-graph core (hypergraph, constructions, classification, improvement)
 imports nothing from the colored 2-graph module, and the construction
-model's names are assigned in one module only.  ``formats`` is not in the
-core: its ``.cg`` reader builds a ``ColoredGraph``.
+model's names are assigned in one module only, as is the toggle-phase table
+with its two checklist coefficients.  ``formats`` is not in the core: its
+``.cg`` reader builds a ``ColoredGraph``.
 """
 
 import ast
@@ -53,3 +54,25 @@ def test_construction_model_has_one_home():
     for name in ("Partition3", "CYCLIC_TRIANGLE_TYPES"):
         homes = [m for m in modules if name in _assigned_names(m)]
         assert homes == ["constructions"], (name, homes)
+
+
+def test_toggle_phases_have_one_home():
+    modules = [p.stem for p in SRC.glob("*.py")]
+    homes = [m for m in modules if "TOGGLE_PHASES" in _assigned_names(m)]
+    assert homes == ["classification"], homes
+
+
+def _int_literals(module: str) -> list:
+    return [
+        node.value
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.Constant) and type(node.value) is int
+    ]
+
+
+def test_phase_coefficients_are_written_once():
+    for path in SRC.glob("*.py"):
+        literals = _int_literals(path.stem)
+        expected = 1 if path.stem == "classification" else 0
+        for coeff in (47, 90):
+            assert literals.count(coeff) == expected, (path.stem, coeff)
