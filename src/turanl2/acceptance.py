@@ -311,8 +311,7 @@ def criterion_9_symmetrization(trials: int = 500, seed: int = DEFAULT_SEED) -> C
 def criterion_10_mantel(part_size: int = 2) -> CriterionResult:
     t0 = time.monotonic()
     report = census_mod.census_colored_mantel(part_size, "edges", mode="exhaustive")
-    n = part_size
-    cap = Fraction(5 * n * n, 2) + 5 * n
+    cap = report.extra["edge_bound"]
     lam = report.reference_value
     elapsed = time.monotonic() - t0
     ok = report.optimum <= cap and report.optimum >= lam and elapsed < 10
@@ -348,14 +347,11 @@ def criterion_11_census_cross_validation(run_n6: bool = True) -> CriterionResult
 def criterion_12_tripartite(n_max: int = 2) -> CriterionResult:
     t0 = time.monotonic()
     details = []
-    from .census import _tripartite_decompose, _tripartite_setup
-
     for n in range(1, n_max + 1):
         rep = census_mod.census_tripartite_triangle_free(n)
         # independent engine: decomposition vs the exhaustive scan the
         # census uses at this size
-        parts, _ = _tripartite_setup(n)
-        alt_opt, _, _ = _tripartite_decompose(n, parts)
+        alt_opt, _, _ = census_mod._tripartite_decompose(n)
         if rep.optimum != alt_opt:
             return _result(12, "tripartite-oracle", False, f"engines disagree at n={n}", t0)
         if not rep.extra["within_slack_bound"]:

@@ -1,10 +1,17 @@
 """Exhaustive, isomorph-free extremal searches at desk scale.
 
-Three engines: the tetrahedron-free l2 maximum over 3-graphs (canonical
-augmentation with sound branch-and-bound pruning, plus a naive full scan for
-cross-validation at tiny n), the colored Mantel maximum over cyclically
-triangle-free colored graphs (bitmask scan, plus a symmetrization-assisted
-structure search), and the tripartite triangle-free edge maximum.
+Three engines: the tetrahedron-free l2 maximum over 3-graphs (a
+breadth-first search over canonical forms with a global visited set and
+sound branch-and-bound pruning, plus a naive full scan for cross-validation
+at tiny n), the colored Mantel maximum over cyclically triangle-free colored
+graphs (a full scan, plus a symmetrization-assisted structure search), and
+the tripartite triangle-free edge maximum.
+
+Every full scan is one call of :func:`_free_subsets`, which walks the
+subsets of a ground list as bitmasks and skips those that contain a
+forbidden mask: the four triples of a 4-set, a cyclic triangle, a
+transversal triangle.  Colored graphs are compared up to color-preserving
+relabeling by :func:`hypergraph.least_relabeling`.
 
 Census outcomes at these sizes are data: reference constructions are
 compared against, and uniqueness flags are reported, never asserted as
@@ -17,27 +24,26 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterable, Optional, Sequence
 
-from .colored import ColoredGraph, build_lambda, graph_l2_norm
+from .colored import build_lambda
 from .constructions import (
     Composition3,
-    Partition3,
     build_c,
     c_l2_closed,
     compositions_of,
     cyclic_triples,
 )
-from .errors import SizeLimitExceeded, TuranL2Error
+from .errors import SizeLimitExceeded, TuranL2Error, VertexOutOfRange
 from .hypergraph import (
+    Graph,
     ThreeGraph,
     all_triples,
     canonical_form,
-    canonical_form_pairs,
     completes_k43,
-    contains_k43,
+    graph_l2_norm,
     l2_norm,
-    make_pair_graph,
+    least_relabeling,
 )
 
 K43_CENSUS_CAP = 8
@@ -95,13 +101,19 @@ def census_k43(
 ) -> CensusReport:
     """Exact maximum l2 norm over tetrahedron-free 3-graphs on n vertices.
 
-    canonical: isomorph-free growth by single edges with canonical-form
-    deduplication; a node is cut when its sound upper bound (current l2 plus
-    per-edge gain 6n-15 for each still-addable triple) cannot reach the best
-    value seen.  Every optimum-achieving class survives pruning because the
-    bound dominates every descendant's value.
+    canonical: breadth-first growth by single edges over canonical forms,
+    deduplicated by a global visited set (not canonical augmentation, which
+    needs no visited set).  A node is cut when its sound upper bound
+    (current l2 plus per-edge gain 6n-15 for each still-addable triple)
+    cannot reach the best value seen.  Every optimum-achieving class
+    survives pruning because the bound dominates every descendant's value,
+    and every tetrahedron-free graph is reachable edge by edge.  So when the
+    reference construction attains the optimum its class is found, and the
+    report asserts that it was.
 
-    naive: scan all edge subsets (for cross-validation; n <= 5).
+    naive: scan all tetrahedron-free edge subsets (for cross-validation;
+    n <= 5).  It never calls ``completes_k43``, so it stays independent of
+    the canonical engine it checks.
     """
     if method == "naive":
         if n > K43_NAIVE_CAP:
@@ -142,22 +154,14 @@ def _k43_report(
 def _census_k43_naive(n: int) -> CensusReport:
     t0 = time.monotonic()
     triples = all_triples(n)
-    best = -1
-    argmax: list[ThreeGraph] = []
-    nodes = 0
-    for mask in range(1 << len(triples)):
-        edges = [t for i, t in enumerate(triples) if mask >> i & 1]
-        h = ThreeGraph(n, edges, _normalized=True)
-        if contains_k43(h):
-            continue
-        nodes += 1
-        v = l2_norm(h)
-        if v > best:
-            best = v
-            argmax = [h]
-        elif v == best:
-            argmax.append(h)
-    forms = {canonical_form(h)[0] for h in argmax}
+    tetrahedra = _subset_masks(
+        triples,
+        (itertools.combinations(q, 3) for q in itertools.combinations(range(n), 4)),
+    )
+    best, argmax, nodes = _free_subsets(
+        triples, tetrahedra, lambda edges: l2_norm(ThreeGraph(n, edges, _normalized=True))
+    )
+    forms = {canonical_form(ThreeGraph(n, edges, _normalized=True))[0] for edges in argmax}
     return _k43_report(
         n, best, forms, nodes, t0, {"labeled_maximizers": len(argmax), "method": "naive"}
     )
@@ -214,11 +218,6 @@ def _census_k43_canonical(n: int) -> CensusReport:
                     next_frontier.append((form, child_addable))
         frontier = next_frontier
 
-    if not best_forms:
-        # the optimum equals the initial reference bound but was tracked only
-        # via equality hits; rebuild the form set from the reference
-        ref_h, _ = build_c(best_construction_value(n)[1])
-        best_forms = {canonical_form(ref_h)[0]}
     return _k43_report(
         n,
         best,
@@ -230,42 +229,64 @@ def _census_k43_canonical(n: int) -> CensusReport:
 
 
 # ---------------------------------------------------------------------------
+# the labelled subset scan shared by the full scans
+
+
+def _subset_masks(ground: Sequence, groups: Iterable[Iterable]) -> list[int]:
+    """One bitmask per group of ground elements; bit i stands for ground[i]."""
+    index = {x: i for i, x in enumerate(ground)}
+    return [sum(1 << index[x] for x in group) for group in groups]
+
+
+def _free_subsets(
+    ground: Sequence, forbidden: Sequence[int], value: Callable[[list], int]
+) -> tuple[int, list[list], int]:
+    """Best ``value`` over the subsets of ``ground`` containing no forbidden mask.
+
+    Subsets are walked as bitmasks in increasing order.  Returns the best
+    value, the maximizing subsets in mask order (each listed in ground
+    order), and the number of subsets scanned, which is the number of free
+    subsets.
+    """
+    best = -1
+    argmax: list[list] = []
+    scanned = 0
+    for mask in range(1 << len(ground)):
+        for f in forbidden:
+            if mask & f == f:
+                break
+        else:
+            scanned += 1
+            subset = [x for i, x in enumerate(ground) if mask >> i & 1]
+            v = value(subset)
+            if v > best:
+                best, argmax = v, [subset]
+            elif v == best:
+                argmax.append(subset)
+    return best, argmax, scanned
+
+
+def _three_parts(n: int) -> list[list[int]]:
+    """The three parts of size n: 0..n-1, n..2n-1 and 2n..3n-1."""
+    return [list(range(i * n, (i + 1) * n)) for i in range(3)]
+
+
+# ---------------------------------------------------------------------------
 # colored Mantel census
 
 
-def _mantel_setup(n: int):
-    big_n = 3 * n
-    color = [1] * n + [2] * n + [3] * n
-    pairs = list(itertools.combinations(range(big_n), 2))
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    cyclic_masks = [
-        1 << pair_index[(a, b)] | 1 << pair_index[(a, c)] | 1 << pair_index[(b, c)]
-        for a, b, c in cyclic_triples(color)
-    ]
-    return big_n, color, pairs, cyclic_masks
-
-
-def _mask_to_colored(mask: int, n: int, pairs) -> ColoredGraph:
-    edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
-    g = make_pair_graph(3 * n, edges)
-    return ColoredGraph(g, Partition3.from_sizes(n, n, n))
-
-
-def _colored_canonical(cg: ColoredGraph, rotate: bool) -> tuple:
-    """Canonical pair list under color-preserving relabelings; with ``rotate``
-    also minimized over the three cyclic rotations of the part pattern."""
-    n = cg.n // 3
-    groups = [list(range(0, n)), list(range(n, 2 * n)), list(range(2 * n, 3 * n))]
-    variants = [cg.graph]
-    if rotate:
-        shift = {v: (v + n) % (3 * n) for v in range(3 * n)}
-        g = cg.graph
-        for _ in range(2):
-            g = make_pair_graph(
-                3 * n, [tuple(sorted((shift[a], shift[b]))) for a, b in g.edges]
-            )
-            variants.append(g)
-    return min(canonical_form_pairs(g, groups) for g in variants)
+def _colored_canonical(edges: Sequence[tuple[int, int]], n: int, rotate: bool) -> tuple:
+    """Canonical pair list under color-preserving relabelings of parts of size
+    n; with ``rotate`` also minimized over the three cyclic rotations of the
+    part pattern."""
+    parts = _three_parts(n)
+    shifts = (0, n, 2 * n) if rotate else (0,)
+    return min(
+        least_relabeling(
+            3 * n, [((a + s) % (3 * n), (b + s) % (3 * n)) for a, b in edges], parts
+        )[0]
+        for s in shifts
+    )
 
 
 def census_colored_mantel(
@@ -301,70 +322,54 @@ def census_colored_mantel(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _lambda_value(n: int, objective: str) -> int:
-    lam = build_lambda(n, n, n)
-    return len(lam.graph.edges) if objective == "edges" else graph_l2_norm(lam.graph)
-
-
 def _mantel_exhaustive(n: int, objective: str) -> CensusReport:
     t0 = time.monotonic()
-    big_n, color, pairs, cyclic_masks = _mantel_setup(n)
-    best = -1
-    argmax_masks: list[int] = []
-    nodes = 0
-    for mask in range(1 << len(pairs)):
-        ok = True
-        for m in cyclic_masks:
-            if mask & m == m:
-                ok = False
-                break
-        if not ok:
-            continue
-        nodes += 1
-        if objective == "edges":
-            value = bin(mask).count("1")
-        else:
-            deg = [0] * big_n
-            rest = mask
-            i = 0
-            while rest:
-                if rest & 1:
-                    u, v = pairs[i]
-                    deg[u] += 1
-                    deg[v] += 1
-                rest >>= 1
-                i += 1
-            value = sum(d * d for d in deg)
-        if value > best:
-            best = value
-            argmax_masks = [mask]
-        elif value == best:
-            argmax_masks.append(mask)
-
-    colored = [_mask_to_colored(m, n, pairs) for m in argmax_masks]
-    forms = {_colored_canonical(cg, rotate=False) for cg in colored}
-    rotated = {_colored_canonical(cg, rotate=True) for cg in colored}
-    ref = _lambda_value(n, objective)
-    edge_cap = Fraction(5 * n * n, 2) + 5 * n
+    big_n = 3 * n
+    pairs = list(itertools.combinations(range(big_n), 2))
+    color = [1] * n + [2] * n + [3] * n
+    cyclic = _subset_masks(
+        pairs, (itertools.combinations(t, 2) for t in cyclic_triples(color))
+    )
+    if objective == "edges":
+        value = len
+    else:
+        def value(edges):
+            return graph_l2_norm(Graph(big_n, edges, _normalized=True))
+    best, argmax, nodes = _free_subsets(pairs, cyclic, value)
+    forms = {_colored_canonical(edges, n, rotate=False) for edges in argmax}
+    rotated = {_colored_canonical(edges, n, rotate=True) for edges in argmax}
     extra = {
-        "labeled_maximizers": len(argmax_masks),
+        "labeled_maximizers": len(argmax),
         "iso_classes_rotation_quotient": len(rotated),
         "method": "exhaustive",
     }
+    return _mantel_report(n, objective, best, forms, nodes, t0, extra)
+
+
+def _mantel_report(
+    n: int, objective: str, optimum: int, forms, nodes: int, t0: float, extra: dict
+) -> CensusReport:
+    """The report of either Mantel mode, compared against Lambda(n, n, n).
+
+    For the edge objective ``extra`` also gets the edge bound 5n^2/2 + 5n
+    and whether the optimum stays within it."""
+    lam = build_lambda(n, n, n).graph
+    reference = len(lam.edges) if objective == "edges" else graph_l2_norm(lam)
     if objective == "edges":
-        extra["edge_bound"] = edge_cap
-        extra["edge_bound_holds"] = Fraction(best) <= edge_cap
-    optimum_forms = tuple(sorted(forms))
+        edge_bound = Fraction(5 * n * n, 2) + 5 * n
+        extra["edge_bound"] = edge_bound
+        extra["edge_bound_holds"] = optimum <= edge_bound
+    attains = reference == optimum
     return CensusReport(
         n=n,
         objective=f"mantel-{objective}",
-        optimum=best,
-        extremal=optimum_forms,
+        optimum=optimum,
+        extremal=tuple(sorted(forms)),
         iso_classes=len(forms),
         reference=f"lambda({n},{n},{n})",
-        reference_value=ref,
-        reference_attains=ref == best,
-        reference_unique=ref == best and len(forms) == 1,
+        reference_value=reference,
+        reference_attains=attains,
+        reference_unique=attains and len(forms) == 1,
         nodes_explored=nodes,
         wall_time=time.monotonic() - t0,
         extra=extra,
@@ -431,8 +436,6 @@ def _mantel_assisted(n: int, objective: str, class_cap: int) -> CensusReport:
                                             list(phi3),
                                         ],
                                     }
-    ref = _lambda_value(n, objective)
-    edge_cap = Fraction(5 * n * n, 2) + 5 * n
     extra = {
         "method": "assisted",
         "class_cap": class_cap,
@@ -440,23 +443,7 @@ def _mantel_assisted(n: int, objective: str, class_cap: int) -> CensusReport:
         "reduction_proved_for_objective": objective == "edges",
         "argmax_structure": best_desc,
     }
-    if objective == "edges":
-        extra["edge_bound"] = edge_cap
-        extra["edge_bound_holds"] = Fraction(best) <= edge_cap
-    return CensusReport(
-        n=n,
-        objective=f"mantel-{objective}",
-        optimum=best,
-        extremal=(),
-        iso_classes=0,
-        reference=f"lambda({n},{n},{n})",
-        reference_value=ref,
-        reference_attains=ref == best,
-        reference_unique=False,
-        nodes_explored=nodes,
-        wall_time=time.monotonic() - t0,
-        extra=extra,
-    )
+    return _mantel_report(n, objective, best, (), nodes, t0, extra)
 
 
 def _blowup_value(objective, n, sizes, phis) -> int:
@@ -506,21 +493,11 @@ def _blowup_value(objective, n, sizes, phis) -> int:
 # tripartite triangle-free census
 
 
-def _tripartite_setup(n: int):
-    parts = [list(range(0, n)), list(range(n, 2 * n)), list(range(2 * n, 3 * n))]
-    cross = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            cross.extend(tuple(sorted(p)) for p in itertools.product(parts[i], parts[j]))
-    cross = sorted(set(cross))
-    return parts, cross
-
-
 def _split_form_edges(n: int, i: int, subset: frozenset[int]) -> frozenset:
     """Cross-part edges of the split template: one side is the subset of part
     i together with part i+1, the other side is the rest of part i together
     with part i+2."""
-    parts = [set(range(0, n)), set(range(n, 2 * n)), set(range(2 * n, 3 * n))]
+    parts = [set(p) for p in _three_parts(n)]
     pi = parts[i - 1]
     side_a = set(subset) | parts[i % 3]
     side_b = (pi - set(subset)) | parts[(i + 1) % 3]
@@ -534,8 +511,7 @@ def _split_form_edges(n: int, i: int, subset: frozenset[int]) -> frozenset:
 
 
 def _matches_split_form(n: int, edges: frozenset) -> Optional[tuple[int, tuple]]:
-    for i in (1, 2, 3):
-        base = list(range((i - 1) * n, i * n))
+    for i, base in enumerate(_three_parts(n), 1):
         for r in range(n + 1):
             for subset in itertools.combinations(base, r):
                 if _split_form_edges(n, i, frozenset(subset)) == edges:
@@ -554,22 +530,26 @@ def census_tripartite_triangle_free(n: int, cap: int = TRIPARTITE_CAP) -> Census
     """
     if n > cap:
         raise SizeLimitExceeded(f"tripartite census capped at part size {cap}")
+    if n < 0:
+        raise VertexOutOfRange("vertex count must be nonnegative")
     t0 = time.monotonic()
-    parts, cross = _tripartite_setup(n)
+    parts = _three_parts(n)
     if n <= 2:
-        optimum, maximizers, nodes = _tripartite_scan(n, parts, cross)
+        cross = [
+            (a, b) for a, b in itertools.combinations(range(3 * n), 2) if a // n != b // n
+        ]
+        transversal = _subset_masks(
+            cross, (itertools.combinations(t, 2) for t in itertools.product(*parts))
+        )
+        optimum, subsets, nodes = _free_subsets(cross, transversal, len)
+        maximizers = [frozenset(edges) for edges in subsets]
     else:
-        optimum, maximizers, nodes = _tripartite_decompose(n, parts)
+        optimum, maximizers, nodes = _tripartite_decompose(n)
     mismatches = []
     for edges in maximizers:
         if _matches_split_form(n, edges) is None:
             mismatches.append(sorted(edges))
-    forms = {
-        canonical_form_pairs(
-            make_pair_graph(3 * n, sorted(edges)), [parts[0], parts[1], parts[2]]
-        )
-        for edges in maximizers
-    }
+    forms = {least_relabeling(3 * n, edges, parts)[0] for edges in maximizers}
     slack_bound = 2 * n * n + n
     return CensusReport(
         n=n,
@@ -593,73 +573,34 @@ def census_tripartite_triangle_free(n: int, cap: int = TRIPARTITE_CAP) -> Census
     )
 
 
-def _tripartite_scan(n, parts, cross):
-    tri_masks = []
-    pair_index = {p: i for i, p in enumerate(cross)}
-    for a in parts[0]:
-        for b in parts[1]:
-            for c in parts[2]:
-                tri_masks.append(
-                    1 << pair_index[(a, b)]
-                    | 1 << pair_index[(a, c)]
-                    | 1 << pair_index[(b, c)]
-                )
-    best = -1
-    argmax: list[frozenset] = []
-    nodes = 0
-    for mask in range(1 << len(cross)):
-        ok = True
-        for m in tri_masks:
-            if mask & m == m:
-                ok = False
-                break
-        if not ok:
-            continue
-        nodes += 1
-        e = bin(mask).count("1")
-        if e > best:
-            best = e
-            argmax = [mask]
-        elif e == best:
-            argmax.append(mask)
-    maximizers = [
-        frozenset(p for i, p in enumerate(cross) if mask >> i & 1) for mask in argmax
-    ]
-    return best, maximizers, nodes
+def _maximum_independent_sets(ground: list[int], edges) -> list[tuple[int, ...]]:
+    """Every independent set of largest size of the graph ``edges`` on ``ground``."""
+    for r in range(len(ground), -1, -1):  # r = 0 finds the empty set
+        found = [
+            cand
+            for cand in itertools.combinations(ground, r)
+            if not any(a in cand and b in cand for a, b in edges)
+        ]
+        if found:
+            return found
 
 
-def _tripartite_decompose(n, parts):
-    u12 = [tuple(sorted(p)) for p in itertools.product(parts[0], parts[1])]
+def _tripartite_decompose(n: int) -> tuple[int, list[frozenset], int]:
+    """Exact maximum for any part size: scan the bipartite graphs between the
+    first two parts; each third-part vertex then independently attaches to a
+    maximum independent set of the chosen graph."""
+    parts = _three_parts(n)
     ground = parts[0] + parts[1]
-    best = -1
-    argmax: list[tuple[frozenset, tuple]] = []
-    nodes = 0
-    for mask in range(1 << len(u12)):
-        nodes += 1
-        g12 = [p for i, p in enumerate(u12) if mask >> i & 1]
-        g12_set = set(g12)
-        independent = []
-        for r in range(len(ground), -1, -1):
-            for cand in itertools.combinations(ground, r):
-                cs = set(cand)
-                if not any(a in cs and b in cs for a, b in g12_set):
-                    independent.append(cand)
-            if independent:
-                break
-        alpha = len(independent[0]) if independent else 0
-        total = len(g12) + n * alpha
-        if total > best:
-            best = total
-            argmax = [(frozenset(g12), tuple(independent))]
-        elif total == best:
-            argmax.append((frozenset(g12), tuple(independent)))
+    best, argmax, nodes = _free_subsets(
+        list(itertools.product(parts[0], parts[1])),
+        [],
+        lambda g12: len(g12) + n * len(_maximum_independent_sets(ground, g12)[0]),
+    )
     maximizers = []
-    for g12, mis_list in argmax:
-        for choice in itertools.product(mis_list, repeat=n):
+    for g12 in argmax:
+        for choice in itertools.product(_maximum_independent_sets(ground, g12), repeat=n):
             edges = set(g12)
-            for idx, nbhd in enumerate(choice):
-                w = parts[2][idx]
-                for u in nbhd:
-                    edges.add(tuple(sorted((u, w))))
+            for w, nbhd in zip(parts[2], choice):
+                edges.update((u, w) for u in nbhd)
             maximizers.append(frozenset(edges))
     return best, maximizers, nodes

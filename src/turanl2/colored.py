@@ -419,13 +419,11 @@ def check_symmetrized_facts(
         facts.append(FactCheck("directed-edge-ends-disjoint", witness is None, witness))
 
         witness = None
-        shortest = view.shortest_directed_cycle()
-        if shortest is not None:
-            for cycle in view.minimum_directed_cycles():
-                ids = [ec.class_of[x] for x in cycle]
-                if len(set(ids)) != len(ids):
-                    witness = tuple(cycle)
-                    break
+        for cycle in view.minimum_directed_cycles():
+            ids = [ec.class_of[x] for x in cycle]
+            if len(set(ids)) != len(ids):
+                witness = tuple(cycle)
+                break
         facts.append(FactCheck("minimum-cycles-class-distinct", witness is None, witness))
 
     return FactsReport(tuple(facts), free)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import Counter
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateEdge, SizeLimitExceeded, VertexOutOfRange
@@ -179,25 +180,24 @@ class Graph:
     def with_changes(
         self, add: Iterable[Pair] = (), remove: Iterable[Pair] = ()
     ) -> "Graph":
-        es = set(self.edge_set)
-        es.difference_update(remove)
-        es.update(add)
-        return Graph(self.n, sorted(es), _normalized=True)
+        """New graph with the given already-normalized pairs added/removed."""
+        return Graph(self.n, merge_edit(self.edges, add, remove), _normalized=True)
 
 
 def merge_edit(
-    edges_sorted: Sequence[Triple],
-    add: Iterable[Triple] = (),
-    remove: Iterable[Triple] = (),
-) -> list[Triple]:
-    """Sorted edge list ``(edges - remove) | add`` for normalized triples.
+    edges_sorted: Sequence[tuple[int, ...]],
+    add: Iterable[tuple[int, ...]] = (),
+    remove: Iterable[tuple[int, ...]] = (),
+) -> list[tuple[int, ...]]:
+    """Sorted edge list ``(edges - remove) | add`` for normalized edges
+    (triples or pairs).
 
     Each edit is placed by binary search from the previous one, and the
     untouched runs between edits are copied as slices, so k edits cost
-    O(k log m) comparisons plus the copy.  A triple in both ``add`` and
+    O(k log m) comparisons plus the copy.  An edge in both ``add`` and
     ``remove`` ends up present."""
     add_set = set(add)
-    out: list[Triple] = []
+    out: list[tuple[int, ...]] = []
     pos = 0
     for t in sorted(add_set.union(remove)):
         i = bisect_left(edges_sorted, t, pos)
@@ -376,70 +376,45 @@ def canonical_form(
     """Canonical edge list plus the relabeling that produces it.
 
     Two graphs have equal canonical forms iff they are isomorphic.  The form
-    is the lexicographically least relabeled edge list over all permutations
-    that respect the refined invariant coloring (blocks ordered by color), so
-    only block-internal permutations are searched.
+    is the :func:`least_relabeling` over the blocks of the refined invariant
+    coloring (blocks ordered by color), so only block-internal permutations
+    are searched.
 
     Refuses graphs with more than ``cap`` vertices rather than approximating.
     """
     if h.n > cap:
         raise SizeLimitExceeded(f"canonical form capped at {cap} vertices, got {h.n}")
-    if h.n == 0:
-        return (), ()
     colors = _refine_colors(h)
-    blocks: dict[int, list[int]] = {}
-    for v in range(h.n):
-        blocks.setdefault(colors[v], []).append(v)
-    ordered_blocks = [blocks[c] for c in sorted(blocks)]
-    offsets = []
-    pos = 0
-    for b in ordered_blocks:
-        offsets.append(pos)
-        pos += len(b)
+    blocks = [[v for v in range(h.n) if colors[v] == c] for c in sorted(set(colors))]
+    return least_relabeling(h.n, h.edges, blocks)
 
-    best: Optional[tuple[Triple, ...]] = None
-    best_map: Optional[tuple[int, ...]] = None
-    edges = h.edges
-    for arrangement in itertools.product(
-        *(itertools.permutations(b) for b in ordered_blocks)
-    ):
-        mapping = [0] * h.n
-        for block, off in zip(arrangement, offsets):
-            for i, v in enumerate(block):
-                mapping[v] = off + i
-        rel = tuple(
-            sorted(tuple(sorted((mapping[a], mapping[b], mapping[c]))) for a, b, c in edges)
-        )
+
+def least_relabeling(
+    n: int, edges: Iterable[Sequence[int]], blocks: Sequence[Sequence[int]]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Least sorted relabeled edge list, plus the relabeling that gives it,
+    over the permutations inside each block.
+
+    The blocks partition 0..n-1 and take consecutive labels in order: the
+    first block gets 0..|B_0|-1, the next the labels after those, and so on.
+    Edges share one arity (at least 2) and need not be sorted.  Graphs with
+    equal blocks get equal forms exactly when a block-preserving permutation
+    maps one edge set onto the other.
+    """
+    getters = [itemgetter(*e) for e in edges]
+    best: Optional[tuple[tuple[int, ...], ...]] = None
+    best_map: tuple[int, ...] = ()
+    for arrangement in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        # the blocks, each in its arranged order, list the vertices by new label
+        mapping = [0] * n
+        for i, v in enumerate(itertools.chain.from_iterable(arrangement)):
+            mapping[v] = i
+        rel = tuple(sorted(tuple(sorted(get(mapping))) for get in getters))
         if best is None or rel < best:
             best = rel
             best_map = tuple(mapping)
-    assert best is not None and best_map is not None
+    assert best is not None
     return best, best_map
-
-
-def canonical_form_pairs(
-    g: Graph,
-    groups: Sequence[Sequence[int]],
-) -> tuple[Pair, ...]:
-    """Least relabeled pair list over permutations preserving each vertex group.
-
-    Used for colored graphs, where only color-preserving relabelings count.
-    """
-    best: Optional[tuple[Pair, ...]] = None
-    offsets = []
-    pos = 0
-    for b in groups:
-        offsets.append(pos)
-        pos += len(b)
-    for arrangement in itertools.product(*(itertools.permutations(b) for b in groups)):
-        mapping = [0] * g.n
-        for block, off in zip(arrangement, offsets):
-            for i, v in enumerate(block):
-                mapping[v] = off + i
-        rel = tuple(sorted(tuple(sorted((mapping[a], mapping[b]))) for a, b in g.edges))
-        if best is None or rel < best:
-            best = rel
-    return best if best is not None else ()
 
 
 def all_triples(n: int) -> list[Triple]:

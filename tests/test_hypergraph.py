@@ -14,6 +14,7 @@ from conftest import (
 from turanl2.constructions import Composition3, build_balanced_c, build_c
 from turanl2.errors import DegenerateEdge, SizeLimitExceeded, VertexOutOfRange
 from turanl2.hypergraph import (
+    Graph,
     ThreeGraph,
     canonical_form,
     codegree,
@@ -23,6 +24,7 @@ from turanl2.hypergraph import (
     find_k43,
     induce,
     l2_norm,
+    least_relabeling,
     link,
     make_graph,
     merge_edit,
@@ -186,15 +188,17 @@ def test_edge_addition_strictly_raises_l2(rng):
 @st.composite
 def _edit(draw):
     n = draw(st.integers(3, 8))
-    triples = st.sampled_from(list(itertools.combinations(range(n), 3)))
-    base = sorted(draw(st.sets(triples)))
-    return base, draw(st.sets(triples)), draw(st.sets(triples))
+    arity = draw(st.sampled_from((2, 3)))
+    edges = st.sampled_from(list(itertools.combinations(range(n), arity)))
+    base = sorted(draw(st.sets(edges)))
+    return base, draw(st.sets(edges)), draw(st.sets(edges))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_edit())
-# a triple added and removed, an absent remove, a present add; then no edits
+# an edge added and removed, an absent remove, a present add; then no edits
 @example(([(0, 1, 2), (0, 1, 3)], {(0, 1, 3), (1, 2, 3)}, {(0, 1, 3), (0, 2, 3)}))
+@example(([(0, 1), (0, 2)], {(0, 2), (1, 2)}, {(0, 2), (0, 3)}))
 @example(([(0, 1, 2)], set(), set()))
 def test_merge_edit_property(edit):
     base, add, rem = edit
@@ -202,6 +206,10 @@ def test_merge_edit_property(edit):
     assert merge_edit(base, add, rem) == expected
     assert merge_edit(tuple(base), sorted(add), tuple(rem)) == expected
     assert merge_edit(base) == base
+    if all(len(e) == 2 for e in [*base, *add, *rem]):
+        g = Graph(8, base, _normalized=True)
+        assert list(g.with_changes(add, rem).edges) == expected
+        assert g.with_changes(add, rem).edge_set == frozenset(expected)
 
 
 def test_merge_edit_matches_set_semantics(rng):
@@ -290,3 +298,56 @@ class TestCanonicalForm:
     def test_size_cap(self):
         with pytest.raises(SizeLimitExceeded):
             canonical_form(make_graph(9, []))
+
+
+def _random_blocks(rng, n):
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+    return [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+def _relabel(edges, perm):
+    return tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in edges))
+
+
+class TestLeastRelabeling:
+    def test_pair_forms_match_color_preserving_oracle(self, rng):
+        # equal forms exactly when some color-preserving permutation of all
+        # n! maps one edge set onto the other
+        for sizes in ((1, 1, 1), (2, 1, 2), (2, 2, 2), (0, 2, 1)):
+            n = sum(sizes)
+            color = [i for i, k in enumerate(sizes) for _ in range(k)]
+            blocks = [[v for v in range(n) if color[v] == i] for i in range(3)]
+            all_pairs = list(itertools.combinations(range(n), 2))
+            graphs = [
+                [p for p in all_pairs if rng.random() < rng.random()] for _ in range(12)
+            ]
+            keeps_color = [
+                perm
+                for perm in itertools.permutations(range(n))
+                if all(color[perm[v]] == color[v] for v in range(n))
+            ]
+            for edges in graphs[:5]:
+                graphs.append(list(_relabel(edges, rng.choice(keeps_color))))
+            images = [{_relabel(e, perm) for perm in keeps_color} for e in graphs]
+            forms = [least_relabeling(n, e, blocks)[0] for e in graphs]
+            for i, ea in enumerate(graphs):
+                for j, eb in enumerate(graphs):
+                    assert (forms[i] == forms[j]) == (_relabel(eb, range(n)) in images[i])
+
+    def test_relabeling_reproduces_the_form(self, rng):
+        for arity in (2, 3):
+            for _ in range(40):
+                n = rng.randint(arity, 7)
+                edges = [
+                    e for e in itertools.combinations(range(n), arity) if rng.random() < 0.4
+                ]
+                blocks = _random_blocks(rng, n)
+                form, mapping = least_relabeling(n, edges, blocks)
+                assert _relabel(edges, mapping) == form
+                start = 0
+                for block in blocks:
+                    labels = sorted(mapping[v] for v in block)
+                    assert labels == list(range(start, start + len(block)))
+                    start += len(block)

@@ -4,7 +4,8 @@ The 3-graph core (hypergraph, constructions, classification, improvement)
 imports nothing from the colored 2-graph module, and the construction
 model's names are assigned in one module only, as is the toggle-phase table
 with its two checklist coefficients.  ``formats`` is not in the core: its
-``.cg`` reader builds a ``ColoredGraph``.
+``.cg`` reader builds a ``ColoredGraph``.  Block permutations are enumerated
+in one routine, and the colored Mantel edge bound is written once.
 """
 
 import ast
@@ -76,3 +77,40 @@ def test_phase_coefficients_are_written_once():
         expected = 1 if path.stem == "classification" else 0
         for coeff in (47, 90):
             assert literals.count(coeff) == expected, (path.stem, coeff)
+
+
+def _functions(module: str) -> dict:
+    return {
+        node.name: node
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def _permutations_calls(node) -> int:
+    return sum(
+        1
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call)
+        and isinstance(sub.func, ast.Attribute)
+        and sub.func.attr == "permutations"
+        and isinstance(sub.func.value, ast.Name)
+        and sub.func.value.id == "itertools"
+    )
+
+
+def test_block_permutations_have_one_home():
+    total = {path.stem: _permutations_calls(_tree(path.stem)) for path in SRC.glob("*.py")}
+    assert {m: c for m, c in total.items() if c} == {"hypergraph": 1}
+    assert _permutations_calls(_functions("hypergraph")["least_relabeling"]) == 1
+    for path in SRC.glob("*.py"):
+        assert "canonical_form_pairs" not in _functions(path.stem), path.stem
+
+
+def test_mantel_edge_bound_is_written_once():
+    homes = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(_tree(path.stem)):
+            if isinstance(node, ast.Assign) and "5 * n * n" in ast.unparse(node.value):
+                homes.append(path.stem)
+    assert homes == ["census"], homes
