@@ -34,7 +34,7 @@ from .constructions import (
     compositions_of,
     cyclic_triples,
 )
-from .errors import SizeLimitExceeded, TuranL2Error, VertexOutOfRange
+from .errors import InvalidArgument, SizeLimitExceeded, TuranL2Error, VertexOutOfRange
 from .hypergraph import (
     Graph,
     ThreeGraph,
@@ -120,7 +120,7 @@ def census_k43(
             raise SizeLimitExceeded(f"naive scan capped at {K43_NAIVE_CAP} vertices")
         return _census_k43_naive(n)
     if method != "canonical":
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidArgument(f"unknown method {method!r}")
     if n > cap:
         raise SizeLimitExceeded(f"census capped at {cap} vertices, got {n}")
     return _census_k43_canonical(n)
@@ -306,7 +306,7 @@ def census_colored_mantel(
     objective the assisted optimum is reported as a lower bound only.
     """
     if objective not in ("edges", "l2"):
-        raise ValueError("objective must be 'edges' or 'l2'")
+        raise InvalidArgument("objective must be 'edges' or 'l2'")
     if mode == "auto":
         mode = "exhaustive" if n <= MANTEL_EXHAUSTIVE_CAP else "assisted"
     if mode == "exhaustive":
@@ -319,7 +319,7 @@ def census_colored_mantel(
         if n < 1:
             raise TuranL2Error(f"assisted colored census needs part size at least 1, got {n}")
         return _mantel_assisted(n, objective, class_cap)
-    raise ValueError(f"unknown mode {mode!r}")
+    raise InvalidArgument(f"unknown mode {mode!r}")
 
 
 def _mantel_exhaustive(n: int, objective: str) -> CensusReport:

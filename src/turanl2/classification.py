@@ -31,6 +31,7 @@ from .errors import (
     EdgeNotCrossing,
     EdgeNotInShadow,
     EdgeNotInternal,
+    InvalidArgument,
     PartitionMismatch,
     SizeLimitExceeded,
     UnknownFamily,
@@ -188,7 +189,7 @@ def optimize_partition(
         return _optimize_exhaustive(h)
     if mode == "vertexMoves":
         return _optimize_vertex_moves(h, initial)
-    raise ValueError(f"unknown mode {mode!r}")
+    raise InvalidArgument(f"unknown mode {mode!r}")
 
 
 def _optimize_exhaustive(h: ThreeGraph) -> tuple[Partition3, int]:
@@ -320,7 +321,7 @@ class Thresholds:
 
     def __post_init__(self):
         if not 0 < self.xi:
-            raise ValueError("xi must be positive")
+            raise InvalidArgument("xi must be positive")
 
     def at_least_sqrt_bound(self, d: int, coeff: int, n: int) -> bool:
         """d >= coeff * sqrt(xi) * n, decided exactly."""

@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: construct, norm, classify, improve, census, mantel, symmetrize,
-ineq, check.  Exit codes: 0 success, 1 a verified fact failed, 2 usage error
-(argparse's own convention).  Numeric parameters are exact rationals written
-as 'p/q'.  Reports are deterministic for a fixed configuration and seed; the
-seed and configuration are echoed in every JSON header.
+ineq, check.  Exit codes: 0 success, 1 a verified fact failed, 2 usage or
+input error (argparse's own convention): a rejected argument or a malformed
+input file, reported as a ``TuranL2Error``.  Any other exception propagates.
+Numeric parameters are exact rationals written as 'p/q'.  Reports are
+deterministic for a fixed configuration and seed; the seed and configuration
+are echoed in every JSON header.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import acceptance
 from .census import (
@@ -23,12 +26,13 @@ from .classification import classify_edges, family_stats, optimize_partition
 from .colored import check_symmetrized_facts, is_cyclic_triangle_free, locally_symmetrize
 from .constructions import (
     Composition3,
+    Partition3,
     build_b,
     build_c,
     c_l2_closed,
     sweep_csv,
 )
-from .errors import TuranL2Error
+from .errors import FormatError, TuranL2Error
 from .formats import (
     load_cg,
     load_h3,
@@ -56,6 +60,33 @@ def _header(args, **extra) -> dict:
     return head
 
 
+def _int_list(text: str) -> list[int]:
+    """argparse type: comma-separated integers ('' is the empty list)."""
+    try:
+        return [int(x) for x in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
+
+
+def _suite(text: str) -> Optional[list[int]]:
+    """argparse type for ``check --suite``: 'all' (None) or criterion numbers."""
+    if text == "all":
+        return None
+    numbers = _int_list(text)
+    if not numbers:
+        raise argparse.ArgumentTypeError("expected 'all' or comma-separated criterion numbers")
+    return numbers
+
+
+def _load_partitioned(h3_path: str, p3_path: str) -> tuple[ThreeGraph, Partition3]:
+    """Load a graph and its partition, rejecting a partition of another size."""
+    h = load_h3(h3_path)
+    p = load_p3(p3_path)
+    if p.n != h.n:
+        raise FormatError(f"{p3_path} colors {p.n} vertices but {h3_path} has {h.n}")
+    return h, p
+
+
 def cmd_construct(args) -> int:
     out = Path(args.output) if args.output else None
     if args.sweep is not None:
@@ -67,9 +98,9 @@ def cmd_construct(args) -> int:
         else:
             sys.stdout.write(csv)
         return 0
-    if not args.sizes:
+    sizes = args.sizes
+    if not sizes:
         raise TuranL2Error("--sizes is required unless --sweep is given")
-    sizes = [int(s) for s in args.sizes.split(",")]
     if args.type == "C":
         if len(sizes) != 3:
             raise TuranL2Error("type C needs --sizes n1,n2,n3")
@@ -111,10 +142,10 @@ def cmd_norm(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    h = load_h3(args.input)
     if args.partition:
-        p = load_p3(args.partition)
+        h, p = _load_partitioned(args.input, args.partition)
     else:
+        h = load_h3(args.input)
         p, _ = optimize_partition(h, mode="vertexMoves")
     ec = classify_edges(h, p)
     payload = _header(
@@ -132,8 +163,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_improve(args) -> int:
-    h = load_h3(args.input)
-    p = load_p3(args.partition)
+    h, p = _load_partitioned(args.input, args.partition)
     trace = two_phase_driver(
         h, p, parse_fraction(args.delta4), order_seed=args.seed if args.shuffle else None
     )
@@ -245,10 +275,7 @@ def cmd_ineq(args) -> int:
 
 
 def cmd_check(args) -> int:
-    numbers = None
-    if args.suite != "all":
-        numbers = [int(x) for x in args.suite.split(",")]
-    results = acceptance.run_suite(numbers, quick=args.quick)
+    results = acceptance.run_suite(args.suite, quick=args.quick)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -267,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = add("construct", "emit a construction as .h3 (+ .p3)")
     c.add_argument("--type", choices=("C", "B"), default="C")
-    c.add_argument("--sizes", default="")
+    c.add_argument("--sizes", type=_int_list, default=[])
     c.add_argument("--sweep", type=int, default=None, help="emit the closed-form CSV for this n")
     c.add_argument("--output")
     c.set_defaults(fn=cmd_construct)
@@ -320,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_ineq)
 
     c = add("check", "run the acceptance battery")
-    c.add_argument("--suite", default="all", help="'all' or comma-separated criterion numbers")
+    c.add_argument("--suite", type=_suite, default="all",
+                   help="'all' or comma-separated criterion numbers")
     c.add_argument("--quick", action="store_true", help="shrunk trial counts for a smoke run")
     c.set_defaults(fn=cmd_check)
     return parser
@@ -332,8 +360,6 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except TuranL2Error as exc:
-        parser.exit(2, f"error: {exc}\n")
-    except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

@@ -5,6 +5,12 @@ class TuranL2Error(Exception):
     """Base class for every package-specific error."""
 
 
+class InvalidArgument(TuranL2Error, ValueError):
+    """An argument lies outside the values an operation accepts.
+
+    Also a ``ValueError``, so callers that catch that keep working."""
+
+
 class VertexOutOfRange(TuranL2Error):
     """A vertex label is negative or >= the ambient vertex count."""
 

@@ -55,9 +55,16 @@ class ThreeGraph:
     Construct through :func:`make_graph` (which normalizes input) or from
     another graph's edges.  Membership and codegree tables are built lazily
     and cached, so lookups are O(1) after first use.
+
+    A graph built directly counts its codegree table from its edge list.  A
+    graph made by :meth:`with_changes` keeps its parent and its effective
+    edits (the adds that were absent, the removes that were present) until
+    its table is first asked for; it then copies the parent's table, moves
+    the three pairs of each effective edit by one, and drops the parent.
+    The parent's table is never changed.
     """
 
-    __slots__ = ("n", "edges", "_edge_set", "_codegrees")
+    __slots__ = ("n", "edges", "_edge_set", "_codegrees", "_parent", "_gained", "_lost")
 
     def __init__(self, n: int, edges: Iterable[Triple], *, _normalized: bool = False):
         if not _normalized:
@@ -66,6 +73,9 @@ class ThreeGraph:
         self.edges: tuple[Triple, ...] = tuple(edges)
         self._edge_set: Optional[frozenset[Triple]] = None
         self._codegrees: Optional[dict[Pair, int]] = None
+        self._parent: Optional[ThreeGraph] = None
+        self._gained: Sequence[Triple] = ()
+        self._lost: Sequence[Triple] = ()
 
     @property
     def edge_set(self) -> frozenset[Triple]:
@@ -94,6 +104,19 @@ class ThreeGraph:
 
     def codegrees(self) -> dict[Pair, int]:
         """Pair -> number of edges containing it (absent pairs have 0)."""
+        if self._codegrees is None and self._parent is not None:
+            cd = dict(self._parent.codegrees())
+            for a, b, c in self._gained:
+                for e in ((a, b), (a, c), (b, c)):
+                    cd[e] = cd.get(e, 0) + 1
+            for a, b, c in self._lost:
+                for e in ((a, b), (a, c), (b, c)):
+                    if cd[e] == 1:
+                        del cd[e]
+                    else:
+                        cd[e] -= 1
+            self._codegrees = cd
+            self._parent, self._gained, self._lost = None, (), ()
         if self._codegrees is None:
             n = self.n
             if len(self.edges) >= 512 and 3 <= n <= 1024:
@@ -124,11 +147,17 @@ class ThreeGraph:
     ) -> "ThreeGraph":
         """New graph with the given already-normalized triples added/removed.
 
-        Edits are merged into the sorted edge list; no full re-sort.
+        Edits are merged into the sorted edge list; no full re-sort.  The new
+        graph derives its codegree table from this one's (see the class
+        docstring), unless this graph is itself still waiting to derive its
+        own; then it counts from scratch, so no graph keeps more than one
+        ancestor alive.
         """
-        return ThreeGraph(
-            self.n, merge_edit(self.edges, add, remove), _normalized=True
-        )
+        edges, gained, lost = edit_sorted(self.edges, add, remove)
+        child = ThreeGraph(self.n, edges, _normalized=True)
+        if self._parent is None:
+            child._parent, child._gained, child._lost = self, gained, lost
+        return child
 
 
 class Graph:
@@ -190,7 +219,18 @@ def merge_edit(
     remove: Iterable[tuple[int, ...]] = (),
 ) -> list[tuple[int, ...]]:
     """Sorted edge list ``(edges - remove) | add`` for normalized edges
-    (triples or pairs).
+    (triples or pairs); :func:`edit_sorted` without the effective edits."""
+    return edit_sorted(edges_sorted, add, remove)[0]
+
+
+def edit_sorted(
+    edges_sorted: Sequence[tuple[int, ...]],
+    add: Iterable[tuple[int, ...]] = (),
+    remove: Iterable[tuple[int, ...]] = (),
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Sorted edge list ``(edges - remove) | add``, plus the effective edits:
+    the edges gained (adds that were absent) and lost (removes that were
+    present and not re-added), each in sorted order.
 
     Each edit is placed by binary search from the previous one, and the
     untouched runs between edits are copied as slices, so k edits cost
@@ -198,15 +238,22 @@ def merge_edit(
     ``remove`` ends up present."""
     add_set = set(add)
     out: list[tuple[int, ...]] = []
+    gained: list[tuple[int, ...]] = []
+    lost: list[tuple[int, ...]] = []
     pos = 0
     for t in sorted(add_set.union(remove)):
         i = bisect_left(edges_sorted, t, pos)
         out += edges_sorted[pos:i]
+        present = i < len(edges_sorted) and edges_sorted[i] == t
         if t in add_set:
             out.append(t)
-        pos = i + (i < len(edges_sorted) and edges_sorted[i] == t)
+            if not present:
+                gained.append(t)
+        elif present:
+            lost.append(t)
+        pos = i + present
     out += edges_sorted[pos:]
-    return out
+    return out, gained, lost
 
 
 def make_graph(n: int, triples: Iterable[Sequence[int]]) -> ThreeGraph:

@@ -27,7 +27,7 @@ from .classification import (
     family_stats,
 )
 from .constructions import Composition3, Partition3, construction, prev_part
-from .errors import EdgePhaseMismatch
+from .errors import EdgePhaseMismatch, InvalidArgument
 from .hypergraph import (
     Pair,
     ThreeGraph,
@@ -94,7 +94,7 @@ def apply_toggle(
     classification of (h, p) may be passed to avoid repeating it.
     """
     if phase not in PHASES:
-        raise ValueError(f"phase must be one of {PHASES}")
+        raise InvalidArgument(f"phase must be one of {PHASES}")
     spec = TOGGLE_PHASES[phase]
     pair = normalize_pair(e_star, h.n)
     u1, u2 = pair
@@ -191,6 +191,12 @@ def verify_toggle_increase(
     A passing checklist with a non-positive exact delta is a counterexample;
     the instance is serialized (when a directory is given) and flagged.  A
     failing checklist yields no claim either way.
+
+    The report's S-set decomposition of the delta is checked against a
+    second, independent route, ``l2_norm(new_h) - l2_norm(h)``: a per-pair
+    recount from the diff edges, since the toggled graph's codegree table is
+    ``h``'s with the three pairs of each gained or lost edge moved by one
+    (see :meth:`ThreeGraph.with_changes`), never read off the S-sets.
     """
     ec = classify_edges(h, p)
     checker = check_phase_one_hypotheses if phase == "one" else check_phase_two_hypotheses
@@ -243,7 +249,7 @@ class Queues:
 def build_queues(h: ThreeGraph, p: Partition3, delta4: Fraction) -> Queues:
     delta4 = Fraction(delta4)
     if not 0 < delta4 < 1:
-        raise ValueError("delta4 must lie strictly between 0 and 1")
+        raise InvalidArgument("delta4 must lie strictly between 0 and 1")
     n = h.n
     ec = classify_edges(h, p)
     m_cod = family_stats(ec, "M").pair_codegrees
@@ -421,9 +427,11 @@ def generate_phase_instance(
     codegree-gap items of the checklist hold by construction (the balance
     item additionally needs 3 | n, since a near-balanced split is off by up
     to 2/3 of a vertex while xi*n is far below 1 here); the global max-degree
-    item cannot hold at desk scale once anything is planted at a single pair
-    (it needs roughly n > 3300), so positivity is a property to verify
-    exactly, not a consequence of a fully passing checklist.
+    item cannot hold at desk scale once anything is planted at a single pair.
+    The first checklists that can pass in full are at n = 6627 with
+    xi = 1/19881 (phase one) and n = 24300 with xi = 1/72900 (phase two), so
+    positivity is a property to verify exactly, not a consequence of a fully
+    passing checklist.
     """
     xi = Fraction(xi)
     comp = Composition3.balanced(n)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import SameVertex
+from .errors import InvalidArgument, SameVertex
 from .hypergraph import ThreeGraph, link, two_norm_degree
 
 THIRD = Fraction(1, 3)
@@ -89,7 +89,7 @@ def verify_simplex_inequality(d: int) -> GridReport:
     the only expected one).  Each point is decided by the integer
     2700 d^3 * margin, so Fractions are built only for the report."""
     if d < 1:
-        raise ValueError("resolution must be at least 1")
+        raise InvalidArgument("resolution must be at least 1")
     top = 250 * d**3
     worst: Optional[int] = None
     arg = (0, 0, 0)

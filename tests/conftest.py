@@ -1,7 +1,7 @@
 """Shared helpers: seeded generators and brute-force oracles.
 
-The oracles here deliberately avoid the library's optimized paths: norms are
-recounted from raw pair iteration, canonical forms are minimized over every
+The oracles here deliberately avoid the library's optimized paths: norms and
+codegree tables are recounted from raw pair iteration, canonical forms are minimized over every
 permutation, subgraph searches enumerate vertex subsets directly, the
 cyclic construction is recounted from the part counts of every triple, the
 simplex certificate and grid sweep are rerun in Fraction arithmetic, and the
@@ -40,6 +40,11 @@ def oracle_l2(h: ThreeGraph) -> int:
         for p in itertools.combinations(t, 2):
             cnt[p] += 1
     return sum(d * d for d in cnt.values())
+
+
+def oracle_codegrees(h: ThreeGraph) -> dict:
+    """Pair -> codegree, counted from the edge list; never calls ``codegrees``."""
+    return dict(Counter(p for t in h.edges for p in itertools.combinations(t, 2)))
 
 
 def oracle_codegree(h: ThreeGraph, pair) -> int:

@@ -53,6 +53,20 @@ def test_criterion_07_toggle_increase(tmp_path):
     assert not (tmp_path / "counterexamples").exists()
 
 
+def test_quick_check_writes_no_counterexamples(monkeypatch):
+    seen = []
+    real = acceptance.verify_toggle_increase
+
+    def spy(h, p, e_star, phase, t, counterexample_dir="<not passed>"):
+        seen.append(counterexample_dir)
+        return real(h, p, e_star, phase, t, counterexample_dir)
+
+    monkeypatch.setattr(acceptance, "verify_toggle_increase", spy)
+    [result] = acceptance.run_suite([7], printer=lambda line: None, quick=True)
+    assert result.passed
+    assert len(seen) == 80 and set(seen) == {None}
+
+
 def test_criterion_08_driver_soundness():
     _run(acceptance.criterion_8_driver)
 

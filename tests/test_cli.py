@@ -2,7 +2,14 @@ import json
 
 import pytest
 
+from turanl2 import acceptance, cli
+from turanl2.census import census_colored_mantel, census_k43
+from turanl2.classification import Thresholds, optimize_partition
 from turanl2.cli import main
+from turanl2.errors import InvalidArgument, TuranL2Error
+from turanl2.hypergraph import make_graph
+from turanl2.improvement import apply_toggle, build_queues
+from turanl2.inequality import verify_simplex_inequality
 from turanl2.formats import load_h3, load_p3, write_cg
 from turanl2.colored import build_lambda
 
@@ -179,3 +186,63 @@ def test_bad_rationals_are_usage_errors(tmp_path, capsys):
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert repr(argv[-1]) in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ("classify", "improve"))
+def test_partition_of_another_size_is_rejected_at_load(command, tmp_path, capsys):
+    stem = tmp_path / "c6"
+    run(["construct", "--type", "C", "--sizes", "2,2,2", "--output", str(stem)], capsys)
+    short = tmp_path / "short.p3"
+    short.write_text("1122\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(stem.with_suffix(".h3")), "--partition", str(short)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert str(short) in captured.err and str(stem.with_suffix(".h3")) in captured.err
+    assert captured.out == ""
+
+
+def test_argument_errors_exit_2(tmp_path, capsys):
+    stem = tmp_path / "c6"
+    run(["construct", "--type", "C", "--sizes", "2,2,2", "--output", str(stem)], capsys)
+    improve = ["improve", "--input", str(stem.with_suffix(".h3")),
+               "--partition", str(stem.with_suffix(".p3"))]
+    for argv, needle in ((["check", "--suite", "13"], "no criterion 13"),
+                         (["check", "--suite", "x"], "--suite"),
+                         (["check", "--suite", ""], "--suite"),
+                         (["construct", "--sizes", "a,b,c"], "--sizes"),
+                         (["ineq", "--resolution", "0"], "resolution"),
+                         (improve + ["--delta4", "2"], "delta4")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert needle in captured.err and captured.out == "", argv
+
+
+def test_argument_checks_stay_value_errors():
+    h = make_graph(4, [[0, 1, 2]])
+    for call in (lambda: acceptance.run_suite([13]),
+                 lambda: census_k43(3, method="nope"),
+                 lambda: census_colored_mantel(2, "nope"),
+                 lambda: census_colored_mantel(2, "edges", mode="nope"),
+                 lambda: optimize_partition(h, mode="nope"),
+                 lambda: Thresholds(0),
+                 lambda: apply_toggle(h, None, (0, 1), "three"),
+                 lambda: build_queues(h, None, 2),
+                 lambda: verify_simplex_inequality(0)):
+        with pytest.raises(InvalidArgument) as exc:
+            call()
+        assert isinstance(exc.value, ValueError) and isinstance(exc.value, TuranL2Error)
+
+
+def test_internal_value_error_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
+    stem = tmp_path / "c6"
+    run(["construct", "--type", "C", "--sizes", "2,2,2", "--output", str(stem)], capsys)
+
+    def broken(h):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "l2_norm", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["norm", "--input", str(stem.with_suffix(".h3"))])

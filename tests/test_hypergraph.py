@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import (
     oracle_canonical,
     oracle_codegree,
+    oracle_codegrees,
     oracle_contains_complete,
     oracle_l2,
     random_graph,
@@ -21,6 +22,7 @@ from turanl2.hypergraph import (
     contains_k43,
     count_s2,
     delete_vertex,
+    edit_sorted,
     find_k43,
     induce,
     l2_norm,
@@ -206,10 +208,60 @@ def test_merge_edit_property(edit):
     assert merge_edit(base, add, rem) == expected
     assert merge_edit(tuple(base), sorted(add), tuple(rem)) == expected
     assert merge_edit(base) == base
+    merged, gained, lost = edit_sorted(base, add, rem)
+    assert merged == expected
+    assert gained == sorted(add - set(base))
+    assert lost == sorted((rem - add) & set(base))
     if all(len(e) == 2 for e in [*base, *add, *rem]):
         g = Graph(8, base, _normalized=True)
         assert list(g.with_changes(add, rem).edges) == expected
         assert g.with_changes(add, rem).edge_set == frozenset(expected)
+
+
+@st.composite
+def _edit_chain(draw):
+    n = draw(st.integers(3, 8))
+    edges = st.sampled_from(list(itertools.combinations(range(n), 3)))
+    base = sorted(draw(st.sets(edges)))
+    # (add, remove, read the new graph's table before the next edit)
+    steps = draw(st.lists(st.tuples(st.sets(edges), st.sets(edges), st.booleans()), max_size=6))
+    return n, base, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edit_chain())
+# a present add, an absent remove, an edge in both, an empty edit; read
+# eagerly, then with every table left until the chain is complete
+@example((4, [(0, 1, 2), (0, 1, 3)], [
+    ({(0, 1, 2), (0, 2, 3)}, {(1, 2, 3), (0, 1, 3)}, True),
+    ({(0, 1, 3)}, {(0, 1, 3), (0, 1, 2)}, True),
+    (set(), set(), True),
+]))
+@example((4, [(0, 1, 2)], [
+    ({(0, 1, 3)}, set(), False),
+    (set(), {(0, 1, 2), (1, 2, 3)}, False),
+    ({(0, 2, 3)}, {(0, 2, 3)}, False),
+]))
+def test_with_changes_chain_tables(chain):
+    n, base, steps = chain
+    h = ThreeGraph(n, base, _normalized=True)
+    chain_graphs = [h]
+    for add, rem, read in steps:
+        parent_table = dict(h._codegrees) if h._codegrees is not None else None
+        child = h.with_changes(add=add, remove=rem)
+        # at most one ancestor stays reachable
+        assert child._parent is None or child._parent._parent is None
+        if read:
+            assert child.codegrees() == oracle_codegrees(child)
+            assert child._parent is None
+            if parent_table is not None:
+                assert h.codegrees() == parent_table
+        h = child
+        chain_graphs.append(h)
+    for g in chain_graphs:
+        table = g.codegrees()
+        assert table == oracle_codegrees(g)
+        assert 0 not in table.values()
 
 
 def test_merge_edit_matches_set_semantics(rng):

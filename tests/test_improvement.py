@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_l2, random_graph
+from conftest import oracle_codegrees, oracle_l2, random_graph
 from turanl2.classification import Thresholds, classify_edges
 from turanl2.colored import Partition3
-from turanl2.constructions import build_balanced_c
+from turanl2.constructions import Composition3, build_balanced_c, construction
 from turanl2.errors import EdgePhaseMismatch
 from turanl2.hypergraph import l2_norm, make_graph
 from turanl2 import improvement
@@ -86,10 +86,11 @@ def test_toggle_exactness_on_randoms(rng):
         pair = _random_phase_pair(rng, parts, n, phase)
         if pair is None:
             continue
-        before = dict(h.codegrees())
+        before = oracle_codegrees(h)
         out, rep = apply_toggle(h, parts, pair, phase)
         assert rep.delta == l2_norm(out) - l2_norm(h) == oracle_l2(out) - oracle_l2(h)
-        after = out.codegrees()
+        # recounted: out's own table is derived from the same diff as the S-sets
+        after = oracle_codegrees(out)
         changed = {
             e for e in set(before) | set(after) if before.get(e, 0) != after.get(e, 0)
         }
@@ -228,6 +229,25 @@ class TestGeneratorAndVerification:
                     "increase-asserted",
                     "hypotheses-unmet-no-claim",
                 )
+
+    @pytest.mark.parametrize("n", (60, 89, 120))
+    def test_instance_and_toggle_tables_match_recount(self, n, rng):
+        # the instance derives its table from the cached construction, the
+        # toggled graph from the instance; neither parent table may move
+        base = construction(Composition3.balanced(n).partition())
+        base_table = dict(base.codegrees())
+        assert base_table == oracle_codegrees(base)
+        for phase, coeff in (("one", 47), ("two", 90)):
+            xi = Fraction(1, (coeff * 4) ** 2 * 4)
+            h, p, pair = generate_phase_instance(rng, n, xi, phase)
+            table = h.codegrees()
+            assert table == oracle_codegrees(h) and 0 not in table.values()
+            h_table = dict(table)
+            out, _ = apply_toggle(h, p, pair, phase)
+            out_table = out.codegrees()
+            assert out_table == oracle_codegrees(out) and 0 not in out_table.values()
+            assert h.codegrees() == h_table
+        assert base.codegrees() == base_table
 
     def test_counterexample_serialization(self, tmp_path):
         # force the counterexample path by handing the verifier a passing

@@ -5,7 +5,8 @@ imports nothing from the colored 2-graph module, and the construction
 model's names are assigned in one module only, as is the toggle-phase table
 with its two checklist coefficients.  ``formats`` is not in the core: its
 ``.cg`` reader builds a ``ColoredGraph``.  Block permutations are enumerated
-in one routine, and the colored Mantel edge bound is written once.
+in one routine, sorted edge lists are merged with their edits in one
+routine, and the colored Mantel edge bound is written once.
 """
 
 import ast
@@ -114,3 +115,18 @@ def test_mantel_edge_bound_is_written_once():
             if isinstance(node, ast.Assign) and "5 * n * n" in ast.unparse(node.value):
                 homes.append(path.stem)
     assert homes == ["census"], homes
+
+
+def _calls_named(node, name: str) -> int:
+    return sum(
+        1
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call)
+        and name in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None))
+    )
+
+
+def test_edge_merge_has_one_body():
+    total = {path.stem: _calls_named(_tree(path.stem), "bisect_left") for path in SRC.glob("*.py")}
+    assert {m: c for m, c in total.items() if c} == {"hypergraph": 1}
+    assert _calls_named(_functions("hypergraph")["edit_sorted"], "bisect_left") == 1
