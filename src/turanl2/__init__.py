@@ -78,7 +78,6 @@ from .improvement import (
     DriverTrace,
     apply_toggle,
     build_queues,
-    falsification_search,
     generate_phase_instance,
     two_phase_driver,
     verify_toggle_increase,

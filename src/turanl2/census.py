@@ -96,9 +96,7 @@ def best_construction_value(n: int) -> tuple[int, Composition3]:
     return int(best), arg
 
 
-def census_k43(
-    n: int, method: str = "canonical", cap: int = K43_CENSUS_CAP
-) -> CensusReport:
+def census_k43(n: int, method: str = "canonical") -> CensusReport:
     """Exact maximum l2 norm over tetrahedron-free 3-graphs on n vertices.
 
     canonical: breadth-first growth by single edges over canonical forms,
@@ -121,8 +119,8 @@ def census_k43(
         return _census_k43_naive(n)
     if method != "canonical":
         raise InvalidArgument(f"unknown method {method!r}")
-    if n > cap:
-        raise SizeLimitExceeded(f"census capped at {cap} vertices, got {n}")
+    if n > K43_CENSUS_CAP:
+        raise SizeLimitExceeded(f"census capped at {K43_CENSUS_CAP} vertices, got {n}")
     return _census_k43_canonical(n)
 
 
@@ -191,7 +189,6 @@ def _census_k43_canonical(n: int) -> CensusReport:
             if not addable:
                 maximal_classes += 1
             h = ThreeGraph(n, edges, _normalized=True)
-            cur = l2_norm(h)
             for t in addable:
                 child_h = h.with_changes(add=(t,))
                 child_l2 = l2_norm(child_h)
@@ -519,7 +516,7 @@ def _matches_split_form(n: int, edges: frozenset) -> Optional[tuple[int, tuple]]
     return None
 
 
-def census_tripartite_triangle_free(n: int, cap: int = TRIPARTITE_CAP) -> CensusReport:
+def census_tripartite_triangle_free(n: int) -> CensusReport:
     """Maximum edges of a triangle-free tripartite graph with parts of size n.
 
     Part sizes 1 and 2 scan all subgraphs; part size 3 uses an exact
@@ -528,8 +525,8 @@ def census_tripartite_triangle_free(n: int, cap: int = TRIPARTITE_CAP) -> Census
     set of it.  All maximizers are checked against the split-bipartite
     template; a failure to match is emitted as a witness.
     """
-    if n > cap:
-        raise SizeLimitExceeded(f"tripartite census capped at part size {cap}")
+    if n > TRIPARTITE_CAP:
+        raise SizeLimitExceeded(f"tripartite census capped at part size {TRIPARTITE_CAP}")
     if n < 0:
         raise VertexOutOfRange("vertex count must be nonnegative")
     t0 = time.monotonic()

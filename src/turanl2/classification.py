@@ -148,11 +148,6 @@ def family_stats(ec: EdgeClassification, family_id: str) -> FamilyStats:
     )
 
 
-def intersection_with_construction(h: ThreeGraph, p: Partition3) -> int:
-    cons = construction_edges(p)
-    return sum(1 for t in h.edges if t in cons)
-
-
 def _vertex_contribution(h: ThreeGraph, parts: list[int], v: int, part: int) -> int:
     """Edges through v that would lie in the construction if v sat in ``part``."""
     count = 0
@@ -167,13 +162,13 @@ def optimize_partition(
     h: ThreeGraph,
     mode: str = "exhaustive",
     initial: Optional[Partition3] = None,
-    cap: int = EXHAUSTIVE_PARTITION_CAP,
 ) -> tuple[Partition3, int]:
     """Partition maximizing the overlap between H and the cyclic construction.
 
     exhaustive: globally optimal over all 3^n assignments (DFS with an
     admissible remaining-edges bound); ties resolve to the lexicographically
-    smallest assignment string.  Capped at ``cap`` vertices.
+    smallest assignment string.  Capped at ``EXHAUSTIVE_PARTITION_CAP``
+    vertices.
 
     vertexMoves: local search from ``initial`` (balanced by label when
     omitted); repeatedly applies the first strictly improving single-vertex
@@ -182,9 +177,10 @@ def optimize_partition(
     vertex.
     """
     if mode == "exhaustive":
-        if h.n > cap:
+        if h.n > EXHAUSTIVE_PARTITION_CAP:
             raise SizeLimitExceeded(
-                f"exhaustive partition search capped at {cap} vertices, got {h.n}"
+                f"exhaustive partition search capped at {EXHAUSTIVE_PARTITION_CAP}"
+                f" vertices, got {h.n}"
             )
         return _optimize_exhaustive(h)
     if mode == "vertexMoves":
@@ -237,7 +233,7 @@ def _optimize_vertex_moves(
     if p.n != h.n:
         raise PartitionMismatch("initial partition size does not match the graph")
     parts = list(p.parts)
-    score = intersection_with_construction(h, Partition3(parts))
+    score = sum(CYCLIC_TABLE[9 * parts[a] + 3 * parts[b] + parts[c] - 13] for a, b, c in h.edges)
     improved = True
     while improved:
         improved = False

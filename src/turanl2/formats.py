@@ -110,8 +110,16 @@ def write_cg(cg: ColoredGraph) -> str:
     return "\n".join(out) + "\n"
 
 
+def _read_text(path: PathLike) -> str:
+    """The file's text; an unreadable file is an input error, not a crash."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def load_h3(path: PathLike) -> ThreeGraph:
-    return parse_h3(Path(path).read_text())
+    return parse_h3(_read_text(path))
 
 
 def save_h3(h: ThreeGraph, path: PathLike) -> None:
@@ -119,7 +127,7 @@ def save_h3(h: ThreeGraph, path: PathLike) -> None:
 
 
 def load_p3(path: PathLike) -> Partition3:
-    return parse_p3(Path(path).read_text())
+    return parse_p3(_read_text(path))
 
 
 def save_p3(p: Partition3, path: PathLike) -> None:
@@ -127,7 +135,7 @@ def save_p3(p: Partition3, path: PathLike) -> None:
 
 
 def load_cg(path: PathLike) -> ColoredGraph:
-    return parse_cg(Path(path).read_text())
+    return parse_cg(_read_text(path))
 
 
 def save_cg(cg: ColoredGraph, path: PathLike) -> None:

@@ -19,6 +19,7 @@ Triple = tuple[int, int, int]
 Pair = tuple[int, int]
 
 CANONICAL_VERTEX_CAP = 8
+FLAT_COUNT_MAX_N = 1024  # above it, n^2 flat codegree counters would not fit in memory
 
 
 def normalize_triple(t: Sequence[int], n: int) -> Triple:
@@ -54,17 +55,11 @@ class ThreeGraph:
 
     Construct through :func:`make_graph` (which normalizes input) or from
     another graph's edges.  Membership and codegree tables are built lazily
-    and cached, so lookups are O(1) after first use.
-
-    A graph built directly counts its codegree table from its edge list.  A
-    graph made by :meth:`with_changes` keeps its parent and its effective
-    edits (the adds that were absent, the removes that were present) until
-    its table is first asked for; it then copies the parent's table, moves
-    the three pairs of each effective edit by one, and drops the parent.
-    The parent's table is never changed.
+    and cached, so lookups are O(1) after first use; a graph made by
+    :meth:`with_changes` gets its codegree table at once, from its parent's.
     """
 
-    __slots__ = ("n", "edges", "_edge_set", "_codegrees", "_parent", "_gained", "_lost")
+    __slots__ = ("n", "edges", "_edge_set", "_codegrees")
 
     def __init__(self, n: int, edges: Iterable[Triple], *, _normalized: bool = False):
         if not _normalized:
@@ -73,9 +68,6 @@ class ThreeGraph:
         self.edges: tuple[Triple, ...] = tuple(edges)
         self._edge_set: Optional[frozenset[Triple]] = None
         self._codegrees: Optional[dict[Pair, int]] = None
-        self._parent: Optional[ThreeGraph] = None
-        self._gained: Sequence[Triple] = ()
-        self._lost: Sequence[Triple] = ()
 
     @property
     def edge_set(self) -> frozenset[Triple]:
@@ -104,23 +96,12 @@ class ThreeGraph:
 
     def codegrees(self) -> dict[Pair, int]:
         """Pair -> number of edges containing it (absent pairs have 0)."""
-        if self._codegrees is None and self._parent is not None:
-            cd = dict(self._parent.codegrees())
-            for a, b, c in self._gained:
-                for e in ((a, b), (a, c), (b, c)):
-                    cd[e] = cd.get(e, 0) + 1
-            for a, b, c in self._lost:
-                for e in ((a, b), (a, c), (b, c)):
-                    if cd[e] == 1:
-                        del cd[e]
-                    else:
-                        cd[e] -= 1
-            self._codegrees = cd
-            self._parent, self._gained, self._lost = None, (), ()
         if self._codegrees is None:
             n = self.n
-            if len(self.edges) >= 512 and 3 <= n <= 1024:
-                # flat-array counting beats dict hashing on dense graphs
+            if n > FLAT_COUNT_MAX_N:
+                self._codegrees = {}
+                _move_pairs(self._codegrees, self.edges, 1)
+            else:
                 flat = [0] * (n * n)
                 for a, b, c in self.edges:
                     flat[a * n + b] += 1
@@ -129,13 +110,6 @@ class ThreeGraph:
                 self._codegrees = {
                     (k // n, k % n): v for k, v in enumerate(flat) if v
                 }
-            else:
-                cnt: Counter = Counter()
-                for a, b, c in self.edges:
-                    cnt[(a, b)] += 1
-                    cnt[(a, c)] += 1
-                    cnt[(b, c)] += 1
-                self._codegrees = dict(cnt)
         return self._codegrees
 
     def degree(self, v: int) -> int:
@@ -148,16 +122,27 @@ class ThreeGraph:
         """New graph with the given already-normalized triples added/removed.
 
         Edits are merged into the sorted edge list; no full re-sort.  The new
-        graph derives its codegree table from this one's (see the class
-        docstring), unless this graph is itself still waiting to derive its
-        own; then it counts from scratch, so no graph keeps more than one
-        ancestor alive.
+        graph's codegree table is a copy of this one's with the three pairs
+        of each effective edit moved by one; this table is not changed.
         """
         edges, gained, lost = edit_sorted(self.edges, add, remove)
         child = ThreeGraph(self.n, edges, _normalized=True)
-        if self._parent is None:
-            child._parent, child._gained, child._lost = self, gained, lost
+        child._codegrees = cd = dict(self.codegrees())
+        _move_pairs(cd, gained, 1)
+        _move_pairs(cd, lost, -1)
         return child
+
+
+def _move_pairs(cd: dict[Pair, int], edges: Iterable[Triple], step: int) -> None:
+    """Move the codegree of the three pairs of each edge by ``step`` in
+    place, dropping pairs that reach 0."""
+    for a, b, c in edges:
+        for e in ((a, b), (a, c), (b, c)):
+            d = cd.get(e, 0) + step
+            if d:
+                cd[e] = d
+            else:
+                del cd[e]
 
 
 class Graph:
@@ -210,17 +195,7 @@ class Graph:
         self, add: Iterable[Pair] = (), remove: Iterable[Pair] = ()
     ) -> "Graph":
         """New graph with the given already-normalized pairs added/removed."""
-        return Graph(self.n, merge_edit(self.edges, add, remove), _normalized=True)
-
-
-def merge_edit(
-    edges_sorted: Sequence[tuple[int, ...]],
-    add: Iterable[tuple[int, ...]] = (),
-    remove: Iterable[tuple[int, ...]] = (),
-) -> list[tuple[int, ...]]:
-    """Sorted edge list ``(edges - remove) | add`` for normalized edges
-    (triples or pairs); :func:`edit_sorted` without the effective edits."""
-    return edit_sorted(edges_sorted, add, remove)[0]
+        return Graph(self.n, edit_sorted(self.edges, add, remove)[0], _normalized=True)
 
 
 def edit_sorted(
@@ -417,9 +392,7 @@ def _refine_colors(h: ThreeGraph) -> list[int]:
         distinct = len(order)
 
 
-def canonical_form(
-    h: ThreeGraph, cap: int = CANONICAL_VERTEX_CAP
-) -> tuple[tuple[Triple, ...], tuple[int, ...]]:
+def canonical_form(h: ThreeGraph) -> tuple[tuple[Triple, ...], tuple[int, ...]]:
     """Canonical edge list plus the relabeling that produces it.
 
     Two graphs have equal canonical forms iff they are isomorphic.  The form
@@ -427,10 +400,13 @@ def canonical_form(
     coloring (blocks ordered by color), so only block-internal permutations
     are searched.
 
-    Refuses graphs with more than ``cap`` vertices rather than approximating.
+    Refuses graphs with more than ``CANONICAL_VERTEX_CAP`` vertices rather
+    than approximating.
     """
-    if h.n > cap:
-        raise SizeLimitExceeded(f"canonical form capped at {cap} vertices, got {h.n}")
+    if h.n > CANONICAL_VERTEX_CAP:
+        raise SizeLimitExceeded(
+            f"canonical form capped at {CANONICAL_VERTEX_CAP} vertices, got {h.n}"
+        )
     colors = _refine_colors(h)
     blocks = [[v for v in range(h.n) if colors[v] == c] for c in sorted(set(colors))]
     return least_relabeling(h.n, h.edges, blocks)

@@ -37,7 +37,7 @@ from .hypergraph import (
     normalize_pair,
 )
 
-PHASES = tuple(TOGGLE_PHASES)  # ("one", "two"), the order falsification_search draws from
+PHASES = tuple(TOGGLE_PHASES)  # ("one", "two")
 
 
 @dataclass(frozen=True)
@@ -313,7 +313,7 @@ class DriverTrace:
     every_bad_edge_covered: bool
     inside_construction: bool
     l2_trajectory: tuple[int, ...]
-    k43_free_throughout: Optional[bool]
+    k43_free_throughout: bool
 
     def to_json_lines(self) -> str:
         return "\n".join(json.dumps(s.to_json_dict(), sort_keys=True) for s in self.steps)
@@ -340,7 +340,6 @@ def two_phase_driver(
     h: ThreeGraph,
     p: Partition3,
     delta4: Fraction = Fraction(1, 40),
-    check_freeness: bool = True,
     order_seed: Optional[int] = None,
 ) -> DriverTrace:
     """Process the internal queue with phase-one toggles, then the crossing
@@ -375,7 +374,7 @@ def two_phase_driver(
     l2s = [l2_norm(h)]
     bad_monotone = True
     missing_monotone = True
-    free = not contains_k43(h) if check_freeness else None
+    free = not contains_k43(h)
 
     # each state is classified once: the toggle reads it, the next state's
     # families are compared against it
@@ -389,7 +388,7 @@ def two_phase_driver(
                 missing_monotone = False
             l2s.append(report.l2_after)
             steps.append(DriverStep(phase, report.e_star, report, len(ec.b)))
-            if check_freeness and free:
+            if free:
                 free = not contains_k43(current)
 
     bad_final = ec.b
@@ -471,54 +470,3 @@ def generate_phase_instance(
     pair = tuple(sorted((u1, u2)))
     h = base.with_changes(add=added, remove=removed)
     return h, partition, pair
-
-
-@dataclass(frozen=True)
-class FalsificationOutcome:
-    trials: int
-    full_checklist_passes: int
-    counterexamples: int
-    positive_deltas: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "full_checklist_passes": self.full_checklist_passes,
-            "counterexamples": self.counterexamples,
-            "positive_deltas": self.positive_deltas,
-        }
-
-
-def falsification_search(
-    rng,
-    trials: int,
-    n_range: tuple[int, int] = (9, 24),
-    counterexample_dir: Optional[str] = None,
-) -> FalsificationOutcome:
-    """Randomized hunt for a checklist-passing instance with delta <= 0.
-
-    Draws random small instances and random xi, evaluates the full checklist
-    and the exact delta.  Any counterexample is serialized.  Expected outcome
-    at small n: zero counterexamples (and, because the max-degree item and
-    the codegree-gap item are jointly infeasible at this scale, zero full
-    checklist passes).
-    """
-    xi_choices = [Fraction(1, d) for d in (16, 64, 256, 1024, 4096)]
-    full_passes = 0
-    counterexamples = 0
-    positives = 0
-    for _ in range(trials):
-        n = rng.randint(*n_range)
-        phase = rng.choice(PHASES)
-        xi = rng.choice(xi_choices)
-        h, p, pair = generate_phase_instance(rng, n, xi, phase)
-        verdict = verify_toggle_increase(
-            h, p, pair, phase, Thresholds(xi), counterexample_dir
-        )
-        if verdict.checklist.all_pass:
-            full_passes += 1
-        if verdict.claim == "counterexample":
-            counterexamples += 1
-        if verdict.report.delta > 0:
-            positives += 1
-    return FalsificationOutcome(trials, full_passes, counterexamples, positives)

@@ -225,13 +225,16 @@ def certify_simplex_inequality(min_width: Fraction = Fraction(1, 10**6)) -> Cert
     interval margin (the tighter of the direct and recentered enclosures)
     is nonnegative, or when the whole box sits inside the center ball,
     where the exact cubic lower bound applies.  Boxes thinner than
-    ``min_width`` that still cannot be decided are reported, not dropped.
+    ``min_width`` that still cannot be decided are reported, not dropped;
+    the width must lie in (0, 1], the root box's width.
 
     Every box is dyadic, since boxes start at [0, 1]^2 and are only halved,
     so a box is held as integers (a1, b1, a2, b2, depth) standing for
     [a1, b1] x [a2, b2] / 2^depth, and every test is an integer comparison.
     """
     min_width = Fraction(min_width)
+    if not 0 < min_width <= 1:
+        raise InvalidArgument(f"certificate width must lie in (0, 1], got {min_width}")
     width_num, width_den = min_width.numerator, min_width.denominator
     # |v - 1/3| <= CENTER_RADIUS  <=>  radius_den * |3v - 1| <= radius_num
     radius_num = 3 * CENTER_RADIUS.numerator

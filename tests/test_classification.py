@@ -23,6 +23,7 @@ from turanl2.constructions import (
     Composition3,
     build_balanced_c,
     build_c,
+    construction,
     cyclic_move_inequalities,
     part_pair_counts,
 )
@@ -158,6 +159,16 @@ class TestOptimizePartition:
             p_lm, inter_lm = optimize_partition(h, "vertexMoves")
             _, inter_ex = optimize_partition(h, "exhaustive")
             assert base <= inter_lm <= inter_ex
+
+    def test_vertex_moves_score_is_a_recount_and_leaves_the_memo(self, rng):
+        held = construction(Partition3.balanced(12))
+        for _ in range(30):
+            n = rng.randint(3, 9)
+            h = random_graph(rng, n, rng.random() * 0.6)
+            start = Partition3(tuple(rng.choice((1, 2, 3)) for _ in range(n)))
+            p, score = optimize_partition(h, "vertexMoves", start)
+            assert score == sum(1 for t in h.edges if is_construction_edge(t, p))
+        assert construction(Partition3.balanced(12)) is held
 
     def test_vertex_moves_fixpoint_satisfies_link_inequalities(self, rng):
         for _ in range(30):

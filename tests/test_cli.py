@@ -220,6 +220,31 @@ def test_argument_errors_exit_2(tmp_path, capsys):
         assert needle in captured.err and captured.out == "", argv
 
 
+def test_missing_input_files_exit_2(tmp_path, capsys):
+    stem = tmp_path / "c6"
+    run(["construct", "--type", "C", "--sizes", "2,2,2", "--output", str(stem)], capsys)
+    for argv in (["norm", "--input", str(tmp_path / "missing.h3")],
+                 ["classify", "--input", str(stem.with_suffix(".h3")),
+                  "--partition", str(tmp_path / "missing.p3")],
+                 ["symmetrize", "--input", str(tmp_path / "missing.cg")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert argv[-1] in captured.err and captured.out == "", argv
+
+
+def test_certificate_width_outside_unit_interval_exits_2(capsys):
+    for width in ("2", "0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["ineq", "--resolution", "3", "--interval", "--width", width])
+        assert exc.value.code == 2, width
+        captured = capsys.readouterr()
+        assert "width" in captured.err and captured.out == "", width
+    code, out, _ = run(["ineq", "--resolution", "3", "--interval", "--width", "1"], capsys)
+    assert code == 1 and json.loads(out)["certificate"]["max_depth"] == 2
+
+
 def test_argument_checks_stay_value_errors():
     h = make_graph(4, [[0, 1, 2]])
     for call in (lambda: acceptance.run_suite([13]),

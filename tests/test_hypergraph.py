@@ -15,6 +15,7 @@ from conftest import (
 from turanl2.constructions import Composition3, build_balanced_c, build_c
 from turanl2.errors import DegenerateEdge, SizeLimitExceeded, VertexOutOfRange
 from turanl2.hypergraph import (
+    FLAT_COUNT_MAX_N,
     Graph,
     ThreeGraph,
     canonical_form,
@@ -29,7 +30,6 @@ from turanl2.hypergraph import (
     least_relabeling,
     link,
     make_graph,
-    merge_edit,
     shadow,
     two_norm_degree,
 )
@@ -205,9 +205,8 @@ def _edit(draw):
 def test_merge_edit_property(edit):
     base, add, rem = edit
     expected = sorted((set(base) - rem) | add)
-    assert merge_edit(base, add, rem) == expected
-    assert merge_edit(tuple(base), sorted(add), tuple(rem)) == expected
-    assert merge_edit(base) == base
+    assert edit_sorted(tuple(base), sorted(add), tuple(rem))[0] == expected
+    assert edit_sorted(base) == (base, [], [])
     merged, gained, lost = edit_sorted(base, add, rem)
     assert merged == expected
     assert gained == sorted(add - set(base))
@@ -223,45 +222,50 @@ def _edit_chain(draw):
     n = draw(st.integers(3, 8))
     edges = st.sampled_from(list(itertools.combinations(range(n), 3)))
     base = sorted(draw(st.sets(edges)))
-    # (add, remove, read the new graph's table before the next edit)
-    steps = draw(st.lists(st.tuples(st.sets(edges), st.sets(edges), st.booleans()), max_size=6))
+    steps = draw(st.lists(st.tuples(st.sets(edges), st.sets(edges)), max_size=6))
     return n, base, steps
 
 
 @settings(max_examples=300, deadline=None)
 @given(_edit_chain())
-# a present add, an absent remove, an edge in both, an empty edit; read
-# eagerly, then with every table left until the chain is complete
+# a present add, an absent remove, an edge in both, an empty edit
 @example((4, [(0, 1, 2), (0, 1, 3)], [
-    ({(0, 1, 2), (0, 2, 3)}, {(1, 2, 3), (0, 1, 3)}, True),
-    ({(0, 1, 3)}, {(0, 1, 3), (0, 1, 2)}, True),
-    (set(), set(), True),
+    ({(0, 1, 2), (0, 2, 3)}, {(1, 2, 3), (0, 1, 3)}),
+    ({(0, 1, 3)}, {(0, 1, 3), (0, 1, 2)}),
+    (set(), set()),
 ]))
 @example((4, [(0, 1, 2)], [
-    ({(0, 1, 3)}, set(), False),
-    (set(), {(0, 1, 2), (1, 2, 3)}, False),
-    ({(0, 2, 3)}, {(0, 2, 3)}, False),
+    ({(0, 1, 3)}, set()),
+    (set(), {(0, 1, 2), (1, 2, 3)}),
+    ({(0, 2, 3)}, {(0, 2, 3)}),
 ]))
 def test_with_changes_chain_tables(chain):
     n, base, steps = chain
     h = ThreeGraph(n, base, _normalized=True)
     chain_graphs = [h]
-    for add, rem, read in steps:
-        parent_table = dict(h._codegrees) if h._codegrees is not None else None
+    for add, rem in steps:
         child = h.with_changes(add=add, remove=rem)
-        # at most one ancestor stays reachable
-        assert child._parent is None or child._parent._parent is None
-        if read:
-            assert child.codegrees() == oracle_codegrees(child)
-            assert child._parent is None
-            if parent_table is not None:
-                assert h.codegrees() == parent_table
+        # the child's table exists once the child is made, as its own dict,
+        # and the parent's still counts the parent's edges
+        assert child._codegrees is not None
+        assert child._codegrees is not h._codegrees
+        assert child.codegrees() == oracle_codegrees(child)
+        assert h.codegrees() == oracle_codegrees(h)
         h = child
         chain_graphs.append(h)
     for g in chain_graphs:
         table = g.codegrees()
         assert table == oracle_codegrees(g)
         assert 0 not in table.values()
+
+
+def test_codegrees_beyond_flat_count():
+    n = FLAT_COUNT_MAX_N + 1
+    h = ThreeGraph(n, [(0, 1, 2), (0, 1, n - 1), (1, n - 2, n - 1)], _normalized=True)
+    assert h.codegrees() == oracle_codegrees(h)
+    child = h.with_changes(add=[(0, n - 2, n - 1)], remove=[(0, 1, 2)])
+    assert child.codegrees() == oracle_codegrees(child)
+    assert ThreeGraph(n, child.edges, _normalized=True).codegrees() == child.codegrees()
 
 
 def test_merge_edit_matches_set_semantics(rng):
@@ -271,7 +275,7 @@ def test_merge_edit_matches_set_semantics(rng):
         base = sorted(rng.sample(allt, rng.randint(0, len(allt))))
         add = set(rng.sample(allt, rng.randint(0, len(allt) // 2)))
         rem = set(rng.sample(allt, rng.randint(0, len(allt) // 2)))
-        assert merge_edit(base, add, rem) == sorted((set(base) - rem) | add)
+        assert edit_sorted(base, add, rem)[0] == sorted((set(base) - rem) | add)
 
 
 class TestCanonicalForm:

@@ -12,7 +12,6 @@ from turanl2 import improvement
 from turanl2.improvement import (
     apply_toggle,
     build_queues,
-    falsification_search,
     generate_phase_instance,
     two_phase_driver,
     verify_toggle_increase,
@@ -258,10 +257,4 @@ class TestGeneratorAndVerification:
         verdict = verify_toggle_increase(c6, p6, (0, 1), "one", t, str(tmp_path))
         # native construction: checklist item iii fails, so no claim, no file
         assert verdict.claim == "hypotheses-unmet-no-claim"
-        assert not list(tmp_path.iterdir())
-
-    def test_falsification_search_finds_nothing(self, rng, tmp_path):
-        outcome = falsification_search(rng, 60, (9, 18), str(tmp_path))
-        assert outcome.counterexamples == 0
-        assert outcome.positive_deltas == outcome.trials
         assert not list(tmp_path.iterdir())

@@ -15,7 +15,7 @@ from conftest import (
     oracle_verify_simplex_inequality,
     random_graph,
 )
-from turanl2.errors import SameVertex
+from turanl2.errors import InvalidArgument, SameVertex
 from turanl2.hypergraph import contains_k43, l2_norm, make_graph, two_norm_degree
 from turanl2.inequality import (
     CENTER_RADIUS,
@@ -111,6 +111,15 @@ def test_coarse_certificate_reports_undecided_boxes():
         cert = certify_simplex_inequality(width)
         assert len(cert.undecided) == 11 and not cert.certified
         assert all(isinstance(v, Fraction) for box in cert.undecided for v in box)
+
+
+def test_certificate_width_must_lie_in_unit_interval():
+    for width in (0, -1, 2, Fraction(3, 2)):
+        with pytest.raises(InvalidArgument, match="width"):
+            certify_simplex_inequality(width)
+    cert = certify_simplex_inequality(1)  # the root box still splits
+    assert cert == oracle_certify_simplex_inequality(Fraction(1))
+    assert cert.max_depth == 2 and len(cert.undecided) == 4
 
 
 def test_default_certificate_counts():
