@@ -89,11 +89,25 @@ class EdgeClassification:
 
 
 def classify_edges(h: ThreeGraph, p: Partition3) -> EdgeClassification:
+    """The six edge families of ``h`` relative to the construction on ``p``.
+
+    Two routes give the same families.  When ``h`` was derived by
+    :meth:`ThreeGraph.with_changes` from the memoized ``construction(p)``
+    object itself, B and M are its recorded edits (``h.edits_from``), in time
+    linear in the edits.  Any other graph (built directly, loaded, derived
+    from another root, or derived before the memo moved on) takes the set
+    differences against ``construction_edges(p)``, in time linear in the
+    edge counts.
+    """
     if p.n != h.n:
         raise PartitionMismatch(f"partition covers {p.n} vertices, graph has {h.n}")
-    cons = construction_edges(p)
-    b = frozenset(h.edge_set - cons)
-    m = frozenset(cons - h.edge_set)
+    edits = h.edits_from(construction(p))
+    if edits is None:
+        cons = construction_edges(p)
+        b = frozenset(h.edge_set - cons)
+        m = frozenset(cons - h.edge_set)
+    else:
+        b, m = edits
     parts = p.parts
     b_int = frozenset(t for t in b if parts[t[0]] == parts[t[1]] == parts[t[2]])
     m_tri = frozenset(

@@ -147,13 +147,45 @@ _LAST_CONSTRUCTION: tuple[tuple[int, ...], Optional[ThreeGraph]] = ((), None)
 
 
 def construction(p: Partition3) -> ThreeGraph:
-    """The cyclic construction on ``p``, memoized for the last partition."""
+    """The cyclic construction on ``p``, memoized for the last partition.
+
+    Its codegree table is made in closed form on first use, in O(n^2),
+    rather than counted over its edges; ``build_c`` still counts, as an
+    independent check.
+    """
     global _LAST_CONSTRUCTION
     parts, h = _LAST_CONSTRUCTION
     if h is None or parts != p.parts:
-        h = ThreeGraph(p.n, cyclic_triples(p.parts), _normalized=True)
+        h = ThreeGraph(
+            p.n,
+            cyclic_triples(p.parts),
+            _normalized=True,
+            _codegrees=lambda: _cyclic_codegrees(p),
+        )
         _LAST_CONSTRUCTION = (p.parts, h)
     return h
+
+
+def _cyclic_codegrees(p: Partition3) -> dict[tuple[int, int], int]:
+    """Codegree table of the construction on ``p``, in row-major pair order.
+
+    A pair in parts x and y has a co-neighbour in part z for each of the
+    size_z - [x = z] - [y = z] other vertices there when CYCLIC_TABLE admits
+    (x, y, z)."""
+    sizes = (0, *p.sizes)
+    by_parts = [0] * 16  # indexed by 4 * x + y
+    for x, y, z in itertools.product((1, 2, 3), repeat=3):
+        if CYCLIC_TABLE[9 * x + 3 * y + z - 13]:
+            by_parts[4 * x + y] += sizes[z] - (x == z) - (y == z)
+    parts = p.parts
+    cd = {}
+    for a, x in enumerate(parts):
+        row = 4 * x
+        for b in range(a + 1, len(parts)):
+            d = by_parts[row + parts[b]]
+            if d:
+                cd[(a, b)] = d
+    return cd
 
 
 @dataclass(frozen=True, order=True)

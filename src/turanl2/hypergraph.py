@@ -10,8 +10,8 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import Counter
-from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import DegenerateEdge, SizeLimitExceeded, VertexOutOfRange
 
@@ -20,6 +20,7 @@ Pair = tuple[int, int]
 
 CANONICAL_VERTEX_CAP = 8
 FLAT_COUNT_MAX_N = 1024  # above it, n^2 flat codegree counters would not fit in memory
+_NO_EDGES: frozenset[Triple] = frozenset()
 
 
 def normalize_triple(t: Sequence[int], n: int) -> Triple:
@@ -56,18 +57,34 @@ class ThreeGraph:
     Construct through :func:`make_graph` (which normalizes input) or from
     another graph's edges.  Membership and codegree tables are built lazily
     and cached, so lookups are O(1) after first use; a graph made by
-    :meth:`with_changes` gets its codegree table at once, from its parent's.
+    :meth:`with_changes` gets its codegree table at once, from its parent's,
+    and remembers its edits from its nearest directly built ancestor (see
+    :meth:`edits_from`).
     """
 
-    __slots__ = ("n", "edges", "_edge_set", "_codegrees")
+    __slots__ = ("n", "edges", "_edge_set", "_codegrees", "_root", "_added", "_removed")
 
-    def __init__(self, n: int, edges: Iterable[Triple], *, _normalized: bool = False):
+    def __init__(
+        self,
+        n: int,
+        edges: Iterable[Triple],
+        *,
+        _normalized: bool = False,
+        _codegrees: Union[dict[Pair, int], Callable[[], dict[Pair, int]], None] = None,
+    ):
         if not _normalized:
             edges = sorted({normalize_triple(t, n) for t in edges})
         self.n = n
         self.edges: tuple[Triple, ...] = tuple(edges)
         self._edge_set: Optional[frozenset[Triple]] = None
-        self._codegrees: Optional[dict[Pair, int]] = None
+        # the codegree table, a function making it on first use, or None to
+        # count it on first use
+        self._codegrees = _codegrees
+        # derivation record: edge_set == (_root.edge_set - _removed) | _added;
+        # a directly built graph is its own root, kept as None
+        self._root: Optional[ThreeGraph] = None
+        self._added: frozenset[Triple] = _NO_EDGES
+        self._removed: frozenset[Triple] = _NO_EDGES
 
     @property
     def edge_set(self) -> frozenset[Triple]:
@@ -107,14 +124,31 @@ class ThreeGraph:
                     flat[a * n + b] += 1
                     flat[a * n + c] += 1
                     flat[b * n + c] += 1
-                self._codegrees = {
-                    (k // n, k % n): v for k, v in enumerate(flat) if v
-                }
+                # one pass in C over the counters, keeping the nonzero ones
+                cells = itertools.compress(range(n * n), flat)
+                pairs = map(divmod, cells, itertools.repeat(n))
+                self._codegrees = dict(zip(pairs, filter(None, flat)))
+        elif callable(self._codegrees):
+            self._codegrees = self._codegrees()
         return self._codegrees
 
     def degree(self, v: int) -> int:
         check_vertex(v, self.n)
         return sum(1 for t in self.edges if v in t)
+
+    def edits_from(
+        self, root: "ThreeGraph"
+    ) -> Optional[tuple[frozenset[Triple], frozenset[Triple]]]:
+        """``(added, removed)`` with ``edge_set == (root.edge_set - removed) |
+        added``, ``added`` disjoint from ``root`` and ``removed`` inside it,
+        when ``root`` is this graph or the directly built graph (by identity)
+        that a chain of :meth:`with_changes` calls derived it from; else None.
+        """
+        if root is self:
+            return _NO_EDGES, _NO_EDGES
+        if root is self._root:
+            return self._added, self._removed
+        return None
 
     def with_changes(
         self, add: Iterable[Triple] = (), remove: Iterable[Triple] = ()
@@ -123,13 +157,19 @@ class ThreeGraph:
 
         Edits are merged into the sorted edge list; no full re-sort.  The new
         graph's codegree table is a copy of this one's with the three pairs
-        of each effective edit moved by one; this table is not changed.
+        of each effective edit moved by one; this table is not changed.  Its
+        derivation record composes this graph's with the effective edits, in
+        time linear in the edits made since the root.
         """
         edges, gained, lost = edit_sorted(self.edges, add, remove)
-        child = ThreeGraph(self.n, edges, _normalized=True)
-        child._codegrees = cd = dict(self.codegrees())
+        cd = dict(self.codegrees())
         _move_pairs(cd, gained, 1)
         _move_pairs(cd, lost, -1)
+        child = ThreeGraph(self.n, edges, _normalized=True, _codegrees=cd)
+        gained, lost = frozenset(gained), frozenset(lost)
+        child._root = self if self._root is None else self._root
+        child._added = (self._added - lost) | (gained - self._removed)
+        child._removed = (self._removed - gained) | (lost - self._added)
         return child
 
 
@@ -275,7 +315,8 @@ def shadow(h: ThreeGraph) -> Graph:
 
 def l2_norm(h: ThreeGraph) -> int:
     """Sum of squared codegrees over all vertex pairs."""
-    return sum(d * d for d in h.codegrees().values())
+    d = h.codegrees().values()
+    return sum(map(mul, d, d))
 
 
 def graph_l2_norm(g: Graph) -> int:
@@ -313,7 +354,8 @@ def count_s2(h: ThreeGraph) -> int:
 
     Satisfies l2_norm(h) == 2 * count_s2(h) + 3 * len(h).
     """
-    return sum(d * (d - 1) // 2 for d in h.codegrees().values())
+    d = h.codegrees().values()
+    return (sum(map(mul, d, d)) - sum(d)) // 2
 
 
 def find_k43(h: ThreeGraph) -> Optional[tuple[int, int, int, int]]:

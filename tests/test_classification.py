@@ -2,11 +2,20 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import oracle_phase_one_checklist, oracle_phase_two_checklist, random_graph
+from conftest import (
+    oracle_cyclic_edges,
+    oracle_phase_one_checklist,
+    oracle_phase_two_checklist,
+    random_graph,
+)
 from turanl2.classification import (
+    FAMILY_IDS,
     TOGGLE_PHASES,
     Thresholds,
     check_phase_one_hypotheses,
@@ -36,7 +45,7 @@ from turanl2.errors import (
     TuranL2Error,
     UnknownFamily,
 )
-from turanl2.hypergraph import link, make_graph
+from turanl2.hypergraph import ThreeGraph, link, make_graph
 from turanl2.improvement import PHASES, generate_phase_instance
 
 
@@ -114,6 +123,73 @@ def test_family_stats_missing_star():
     h = c6.with_changes(remove=gone)
     ec = classify_edges(h, p6)
     assert family_stats(ec, "M").max_vertex_degree == len(gone) == 7
+
+
+@st.composite
+def _construction_chains(draw):
+    """A partition of at most 40 vertices, 1 to 6 edits on the construction,
+    the chain's root ("memo" for the memo's own object, "copy" for an equal
+    graph built directly) and the step after which another partition evicts
+    the memo (-1 for never).  Each edit draws from a small pool of triples,
+    mixing construction edges with others, so steps often re-add what an
+    earlier one removed, remove what it added, or name one triple twice."""
+    parts = tuple(draw(st.lists(st.sampled_from((1, 2, 3)), min_size=3, max_size=40)))
+    every = list(itertools.combinations(range(len(parts)), 3))
+    cons = sorted(oracle_cyclic_edges(parts))
+    pool = draw(st.lists(st.sampled_from(every), min_size=1, max_size=4))
+    if cons:
+        pool += draw(st.lists(st.sampled_from(cons), min_size=1, max_size=4))
+    edits = st.sets(st.sampled_from(sorted(set(pool))))
+    steps = draw(st.lists(st.tuples(edits, edits), min_size=1, max_size=6))
+    root = draw(st.sampled_from(("memo", "copy")))
+    evict_at = draw(st.integers(-1, len(steps) - 1))
+    return parts, steps, root, evict_at
+
+
+def _families(ec):
+    return {f: ec.family(f) for f in FAMILY_IDS}
+
+
+# (0, 2, 4) is a construction edge, (0, 1, 4) is not: remove one and add the
+# other, swap them back, name both in add and remove, then edit nothing
+_SWAPS = [
+    ({(0, 1, 4)}, {(0, 2, 4)}),
+    ({(0, 2, 4)}, {(0, 1, 4)}),
+    ({(0, 1, 4), (0, 2, 4)}, {(0, 1, 4), (0, 2, 4)}),
+    (set(), set()),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_construction_chains())
+@example(((1, 1, 2, 2, 3, 3), _SWAPS, "memo", -1))
+@example(((1, 1, 2, 2, 3, 3), _SWAPS, "memo", 1))
+@example(((1, 1, 2, 2, 3, 3), _SWAPS, "copy", -1))
+def test_diff_route_matches_set_differences(chain):
+    parts, steps, root_kind, evict_at = chain
+    p = Partition3(parts)
+    memo = construction(p)
+    root = memo if root_kind == "memo" else ThreeGraph(p.n, memo.edges, _normalized=True)
+    h = root
+    evicted = False
+    with mock.patch(
+        "turanl2.classification.construction_edges", wraps=construction_edges
+    ) as set_route:
+        for i, (add, rem) in enumerate(steps):
+            h = h.with_changes(add=add, remove=rem)
+            if i == evict_at:
+                construction(Partition3((*parts, 1)))
+                evicted = True
+            added, removed = h.edits_from(root)
+            assert h.edge_set == (root.edge_set - removed) | added
+            assert added.isdisjoint(root.edge_set) and removed <= root.edge_set
+            before = set_route.call_count
+            ec = classify_edges(h, p)
+            # only the set-difference route asks for the construction's edges
+            took_diff = root_kind == "memo" and not evicted
+            assert set_route.call_count == before + (not took_diff)
+            reference = classify_edges(ThreeGraph(h.n, h.edges, _normalized=True), p)
+            assert _families(ec) == _families(reference)
 
 
 class TestOptimizePartition:

@@ -2,7 +2,9 @@
 
 Every fast membership path (the generator, the memo, the builder, the
 per-triple test, both partition optimizers and the colored triangle scan)
-is compared with ``oracle_cyclic_edges``, which never reads the table.
+is compared with ``oracle_cyclic_edges``, which never reads the table, and
+the memo's closed-form codegree table with ``oracle_codegrees`` counted over
+those oracle edges.
 """
 
 import itertools
@@ -11,7 +13,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CYCLIC_PART_COUNTS, oracle_cyclic_edges, random_graph
+from conftest import CYCLIC_PART_COUNTS, oracle_codegrees, oracle_cyclic_edges, random_graph
 from turanl2.classification import (
     construction_edges,
     is_construction_edge,
@@ -23,11 +25,12 @@ from turanl2.constructions import (
     Composition3,
     Partition3,
     build_c,
+    c_l2_closed,
     compositions_of,
     construction,
     cyclic_triples,
 )
-from turanl2.hypergraph import make_pair_graph
+from turanl2.hypergraph import ThreeGraph, l2_norm, make_pair_graph
 
 labels = st.sampled_from((1, 2, 3))
 
@@ -40,6 +43,14 @@ def _check_partition(parts):
     for t in itertools.combinations(range(len(parts)), 3):
         assert is_construction_edge(t, p) == (t in oracle)
         assert is_construction_edge(t[::-1], p) == (t in oracle)
+    _check_table(parts, oracle)
+
+
+def _check_table(parts, oracle):
+    """The memo's closed-form table is the oracle edges' count, row-major."""
+    table = construction(Partition3(parts)).codegrees()
+    assert table == oracle_codegrees(ThreeGraph(len(parts), sorted(oracle), _normalized=True))
+    assert list(table) == sorted(table)
 
 
 def _overlap(h, parts) -> int:
@@ -81,6 +92,21 @@ def test_random_partitions(parts):
 def test_random_compositions(n1, n2, n3):
     h, p = build_c(Composition3(n1, n2, n3))
     assert h.edges == tuple(sorted(oracle_cyclic_edges(p.parts)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(labels, max_size=40))
+def test_closed_form_table_on_random_partitions(parts):
+    parts = tuple(parts)
+    _check_table(parts, oracle_cyclic_edges(parts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 14), st.integers(0, 14), st.integers(0, 14))
+def test_closed_form_table_sums_to_the_closed_norm(n1, n2, n3):
+    comp = Composition3(n1, n2, n3)
+    h = construction(comp.partition())
+    assert sum(d * d for d in h.codegrees().values()) == c_l2_closed(comp) == l2_norm(h)
 
 
 @settings(max_examples=25, deadline=None)

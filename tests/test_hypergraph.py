@@ -241,7 +241,9 @@ def _edit_chain(draw):
 ]))
 def test_with_changes_chain_tables(chain):
     n, base, steps = chain
-    h = ThreeGraph(n, base, _normalized=True)
+    h = root = ThreeGraph(n, base, _normalized=True)
+    assert list(root.codegrees()) == sorted(root.codegrees())
+    assert root.edits_from(root) == (frozenset(), frozenset())
     chain_graphs = [h]
     for add, rem in steps:
         child = h.with_changes(add=add, remove=rem)
@@ -251,6 +253,12 @@ def test_with_changes_chain_tables(chain):
         assert child._codegrees is not h._codegrees
         assert child.codegrees() == oracle_codegrees(child)
         assert h.codegrees() == oracle_codegrees(h)
+        # the derivation record is relative to the root, never to the parent
+        added, removed = child.edits_from(root)
+        assert added == child.edge_set - root.edge_set
+        assert removed == root.edge_set - child.edge_set
+        assert child.edits_from(ThreeGraph(n, base, _normalized=True)) is None
+        assert h is root or h.edits_from(child) is None
         h = child
         chain_graphs.append(h)
     for g in chain_graphs:

@@ -6,7 +6,8 @@ model's names are assigned in one module only, as is the toggle-phase table
 with its two checklist coefficients.  ``formats`` is not in the core: its
 ``.cg`` reader builds a ``ColoredGraph``.  Block permutations are enumerated
 in one routine, sorted edge lists are merged with their edits in one
-routine, and the colored Mantel edge bound is written once.
+routine, the colored Mantel edge bound is written once, and the
+construction's closed-form codegree table is handed only to the memo.
 """
 
 import ast
@@ -130,3 +131,26 @@ def test_edge_merge_has_one_body():
     total = {path.stem: _calls_named(_tree(path.stem), "bisect_left") for path in SRC.glob("*.py")}
     assert {m: c for m, c in total.items() if c} == {"hypergraph": 1}
     assert _calls_named(_functions("hypergraph")["edit_sorted"], "bisect_left") == 1
+
+
+def _keyword_calls(node, keyword: str) -> int:
+    return sum(
+        1
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and any(k.arg == keyword for k in sub.keywords)
+    )
+
+
+def test_closed_form_table_is_made_only_for_the_memo():
+    makers, receivers = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(_tree(path.stem)):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if _calls_named(node, "_cyclic_codegrees"):
+                makers.add((path.stem, node.name))
+            if _keyword_calls(node, "_codegrees"):
+                receivers.add((path.stem, node.name))
+    assert makers == {("constructions", "construction")}
+    # build_c counts its own table, so criterion 1 stays an independent count
+    assert receivers == {("constructions", "construction"), ("hypergraph", "with_changes")}
