@@ -230,3 +230,24 @@ def _report(problem, mode, n):
 def test_report_bytes_are_pinned(key):
     text = dump_json(_report(*key).to_json_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[key]
+
+
+# sha256 of the canonical K4^3 report without its search counters
+# (``nodes_explored``, ``extra``): what the census found, whatever engine
+# found it.
+K43_CONTENT_DIGESTS = {
+    0: "510575370a9bd33d1e25c1f8acad225ef1438b6b01ed85c9bbd465ef13727f45",
+    1: "438582e967cbd30b4e439b5c6d8cea14adac46a1917dace90f7ed9e30ecdda39",
+    2: "a2b5e69369986f2df3c050edc24da19c307a6bb145365bd69862e052e5facd15",
+    3: "a67a2eda8c9663620f3484b457f299240561f9cb9616b0d01f1c5f861c585293",
+    4: "0c9d7dd421195166ea59710f3212e7eaa8ee9b34cdb5f9e9bd7797e2e0605483",
+    5: "42c332f258fae99b6898f777d673d6017045d07af9073ca80b5f3a7d3575f284",
+    6: "fdabc5c71294c5bebb5b1bdb1738b000133f6164c3320a7bf88c997129c08925",
+}
+
+
+@pytest.mark.parametrize("n", sorted(K43_CONTENT_DIGESTS))
+def test_k43_census_content_is_pinned(n):
+    content = census_k43(n).to_json_dict()
+    del content["nodes_explored"], content["extra"]
+    assert hashlib.sha256(dump_json(content).encode()).hexdigest() == K43_CONTENT_DIGESTS[n]
