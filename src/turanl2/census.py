@@ -1,17 +1,17 @@
 """Exhaustive, isomorph-free extremal searches at desk scale.
 
-Three engines: the tetrahedron-free l2 maximum over 3-graphs (a
-breadth-first search over canonical forms with a global visited set and
-sound branch-and-bound pruning, plus a naive full scan for cross-validation
-at tiny n), the colored Mantel maximum over cyclically triangle-free colored
-graphs (a full scan, plus a symmetrization-assisted structure search), and
-the tripartite triangle-free edge maximum.
+Three engines: the tetrahedron-free l2 maximum over 3-graphs (a branch and
+bound over the minimal covers of the tetrahedra, plus a naive full scan for
+cross-validation at tiny n), the colored Mantel maximum over cyclically
+triangle-free colored graphs (a full scan, plus a symmetrization-assisted
+structure search), and the tripartite triangle-free edge maximum.
 
-Every full scan is one call of :func:`_free_subsets`, which walks the
-subsets of a ground list as bitmasks and skips those that contain a
-forbidden mask: the four triples of a 4-set, a cyclic triangle, a
-transversal triangle.  Colored graphs are compared up to color-preserving
-relabeling by :func:`hypergraph.least_relabeling`.
+Every search walks the subsets of a ground list as bitmasks against a list
+of forbidden masks: the four triples of a 4-set, a cyclic triangle, a
+transversal triangle.  Every full scan is one call of :func:`_free_subsets`;
+the K4^3 census's branch and bound is :func:`_max_free_subsets`.  Only the
+maximizers are canonicalized.  Colored graphs are compared up to
+color-preserving relabeling by :func:`hypergraph.least_relabeling`.
 
 Census outcomes at these sizes are data: reference constructions are
 compared against, and uniqueness flags are reported, never asserted as
@@ -40,7 +40,6 @@ from .hypergraph import (
     ThreeGraph,
     all_triples,
     canonical_form,
-    completes_k43,
     graph_l2_norm,
     l2_norm,
     least_relabeling,
@@ -99,129 +98,68 @@ def best_construction_value(n: int) -> tuple[int, Composition3]:
 def census_k43(n: int, method: str = "canonical") -> CensusReport:
     """Exact maximum l2 norm over tetrahedron-free 3-graphs on n vertices.
 
-    canonical: breadth-first growth by single edges over canonical forms,
-    deduplicated by a global visited set (not canonical augmentation, which
-    needs no visited set).  A node is cut when its sound upper bound
-    (current l2 plus per-edge gain 6n-15 for each still-addable triple)
-    cannot reach the best value seen.  Every optimum-achieving class
-    survives pruning because the bound dominates every descendant's value,
-    and every tetrahedron-free graph is reachable edge by edge.  So when the
-    reference construction attains the optimum its class is found, and the
-    report asserts that it was.
+    Both methods walk the triples as bitmasks and forbid the four triples of
+    each 4-set; only the search differs.
 
-    naive: scan all tetrahedron-free edge subsets (for cross-validation;
-    n <= 5).  It never calls ``completes_k43``, so it stays independent of
-    the canonical engine it checks.
+    canonical: :func:`_max_free_subsets`, a branch and bound over the minimal
+    covers of the tetrahedra, with the reference construction's value as its
+    floor and l2 counted from per-pair triple masks.  l2 strictly rises when
+    a triple is added, so every maximizer is a maximal tetrahedron-free set
+    and the search reaches each labelled maximizer once.
+
+    naive: scan all tetrahedron-free triple subsets and count l2 on a
+    ``ThreeGraph`` (for cross-validation; n <= 5).
+
+    Only the maximizers are canonicalized.  When the reference construction
+    attains the optimum, the report asserts that its class was found.
     """
-    if method == "naive":
-        if n > K43_NAIVE_CAP:
-            raise SizeLimitExceeded(f"naive scan capped at {K43_NAIVE_CAP} vertices")
-        return _census_k43_naive(n)
-    if method != "canonical":
+    if method not in ("canonical", "naive"):
         raise InvalidArgument(f"unknown method {method!r}")
-    if n > K43_CENSUS_CAP:
-        raise SizeLimitExceeded(f"census capped at {K43_CENSUS_CAP} vertices, got {n}")
-    return _census_k43_canonical(n)
-
-
-def _k43_report(
-    n: int, optimum: int, forms: set, nodes: int, t0: float, extra: dict
-) -> CensusReport:
-    ref_value, ref_comp = best_construction_value(n)
-    ref_h, _ = build_c(ref_comp)
-    attains = ref_value == optimum
-    unique = attains and len(forms) == 1
-    if attains:
-        assert canonical_form(ref_h)[0] in forms
-    return CensusReport(
-        n=n,
-        objective="k43-l2",
-        optimum=optimum,
-        extremal=tuple(sorted(forms)),
-        iso_classes=len(forms),
-        reference=f"cyclic-construction{ref_comp.sizes}",
-        reference_value=ref_value,
-        reference_attains=attains,
-        reference_unique=unique,
-        nodes_explored=nodes,
-        wall_time=time.monotonic() - t0,
-        extra=extra,
-    )
-
-
-def _census_k43_naive(n: int) -> CensusReport:
+    if n < 0:
+        raise VertexOutOfRange("vertex count must be nonnegative")
+    cap = K43_NAIVE_CAP if method == "naive" else K43_CENSUS_CAP
+    if n > cap:
+        raise SizeLimitExceeded(f"{method} K4^3 census capped at {cap} vertices, got {n}")
     t0 = time.monotonic()
     triples = all_triples(n)
     tetrahedra = _subset_masks(
         triples,
         (itertools.combinations(q, 3) for q in itertools.combinations(range(n), 4)),
     )
-    best, argmax, nodes = _free_subsets(
-        triples, tetrahedra, lambda edges: l2_norm(ThreeGraph(n, edges, _normalized=True))
-    )
+    ref_value, ref_comp = best_construction_value(n)
+    if method == "naive":
+        best, argmax, nodes = _free_subsets(
+            triples, tetrahedra, lambda edges: l2_norm(ThreeGraph(n, edges, _normalized=True))
+        )
+    else:
+        pairs = itertools.combinations(range(n), 2)
+        codegree = _subset_masks(triples, ([t for t in triples if {a, b} <= set(t)] for a, b in pairs))
+
+        def l2_of_mask(mask: int) -> int:
+            total = 0
+            for c in codegree:
+                d = (mask & c).bit_count()
+                total += d * d
+            return total
+
+        best, argmax, nodes = _max_free_subsets(triples, tetrahedra, l2_of_mask, ref_value)
     forms = {canonical_form(ThreeGraph(n, edges, _normalized=True))[0] for edges in argmax}
-    return _k43_report(
-        n, best, forms, nodes, t0, {"labeled_maximizers": len(argmax), "method": "naive"}
-    )
-
-
-def _census_k43_canonical(n: int) -> CensusReport:
-    t0 = time.monotonic()
-    gain_bound = max(6 * n - 15, 3)
-    ref_value, _ = best_construction_value(n)
-    best = ref_value  # sound initial lower bound: the construction is K43-free
-    best_forms: set = set()
-    nodes = 0
-
-    empty = ThreeGraph(n, (), _normalized=True)
-    root_form = ()
-    root_addable = tuple(all_triples(n))
-    if l2_norm(empty) == best:  # only when the reference is empty (n < 3)
-        best_forms.add(root_form)
-    visited = {root_form}
-    frontier: list[tuple[tuple, tuple]] = [(root_form, root_addable)]
-    maximal_classes = 0
-
-    while frontier:
-        next_frontier: list[tuple[tuple, tuple]] = []
-        for edges, addable in frontier:
-            nodes += 1
-            if not addable:
-                maximal_classes += 1
-            h = ThreeGraph(n, edges, _normalized=True)
-            for t in addable:
-                child_h = h.with_changes(add=(t,))
-                child_l2 = l2_norm(child_h)
-                # quick sound bound before paying for canonicalization
-                if child_l2 + (len(addable) - 1) * gain_bound < best:
-                    continue
-                form, _ = canonical_form(child_h)
-                if form in visited:
-                    continue
-                visited.add(form)
-                canon_h = ThreeGraph(n, form, _normalized=True)
-                child_addable = tuple(
-                    s
-                    for s in all_triples(n)
-                    if s not in canon_h.edge_set and not completes_k43(canon_h, s)
-                )
-                bound = child_l2 + len(child_addable) * gain_bound
-                if child_l2 > best:
-                    best = child_l2
-                    best_forms = {form}
-                elif child_l2 == best:
-                    best_forms.add(form)
-                if bound >= best:
-                    next_frontier.append((form, child_addable))
-        frontier = next_frontier
-
-    return _k43_report(
-        n,
-        best,
-        best_forms,
-        nodes,
-        t0,
-        {"maximal_classes": maximal_classes, "method": "canonical"},
+    attains = ref_value == best
+    if attains:
+        assert canonical_form(build_c(ref_comp)[0])[0] in forms
+    return CensusReport(
+        n=n,
+        objective="k43-l2",
+        optimum=best,
+        extremal=tuple(sorted(forms)),
+        iso_classes=len(forms),
+        reference=f"cyclic-construction{ref_comp.sizes}",
+        reference_value=ref_value,
+        reference_attains=attains,
+        reference_unique=attains and len(forms) == 1,
+        nodes_explored=nodes,
+        wall_time=time.monotonic() - t0,
+        extra={"labeled_maximizers": len(argmax), "method": method},
     )
 
 
@@ -261,6 +199,51 @@ def _free_subsets(
             elif v == best:
                 argmax.append(subset)
     return best, argmax, scanned
+
+
+def _max_free_subsets(
+    ground: Sequence, forbidden: Sequence[int], value: Callable[[int], int], floor: int
+) -> tuple[int, list[list], int]:
+    """Every subset of ``ground`` containing no forbidden mask whose ``value``
+    is largest, by branch and bound over the covers of the forbidden masks.
+
+    ``value`` takes a subset as a bitmask and must strictly rise when an
+    element is added, so every maximizer is a maximal free subset.  The
+    search starts from the whole ground set and branches on the first
+    forbidden mask the current set still contains: the i-th branch drops
+    the i-th unpinned member of that mask and pins the members before it.
+    The branches are disjoint and every maximal free subset is a leaf, so
+    each is found once.  A node is cut when its own value, which bounds
+    every subset below it, is under the best so far.  ``floor`` is a value
+    that some free subset attains; it seeds the best.
+
+    Returns the best value, the maximizing subsets (each listed in ground
+    order) and the number of nodes visited.
+    """
+    best, argmax, nodes = floor, [], 0
+    stack = [((1 << len(ground)) - 1, 0)]  # (current set, pinned members)
+    while stack:
+        mask, pinned = stack.pop()
+        nodes += 1
+        v = value(mask)
+        if v < best:
+            continue
+        for f in forbidden:
+            if mask & f == f:
+                break
+        else:
+            if v > best:
+                best, argmax = v, []
+            argmax.append(mask)
+            continue
+        branch = f & ~pinned
+        while branch:
+            bit = branch & -branch
+            stack.append((mask ^ bit, pinned))
+            pinned |= bit
+            branch ^= bit
+    assert argmax, f"no free subset reaches the floor {floor}"
+    return best, [[x for i, x in enumerate(ground) if m >> i & 1] for m in argmax], nodes
 
 
 def _three_parts(n: int) -> list[list[int]]:

@@ -68,12 +68,6 @@ class ColoredGraph:
         """Neighbors of v in the part before v's part (cyclically)."""
         return _neighbors_in_part(self, v, prev_part(self.part_of(v)))
 
-    def out_neighborhood(self, v: int) -> frozenset[int]:
-        return _neighbors_in_part(self, v, next_part(self.part_of(v)))
-
-    def internal_neighborhood(self, v: int) -> frozenset[int]:
-        return _neighbors_in_part(self, v, self.part_of(v))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ColoredGraph)

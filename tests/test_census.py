@@ -1,6 +1,9 @@
+import functools
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph
 from turanl2 import census
@@ -45,6 +48,7 @@ class TestK43Census:
             assert naive.optimum == canon.optimum
             assert naive.iso_classes == canon.iso_classes
             assert set(naive.extremal) == set(canon.extremal)
+            assert naive.extra["labeled_maximizers"] == canon.extra["labeled_maximizers"]
 
     def test_n6_outcome_as_data(self):
         rep = census_k43(6, method="canonical")
@@ -69,10 +73,27 @@ class TestK43Census:
                 h = ThreeGraph(n, form, _normalized=True)
                 assert s_spread(h).within_reference_bound
 
+    def _sabotage(self, monkeypatch, forbidden=None, raise_floor=0):
+        search = census._max_free_subsets
+
+        def sabotaged(ground, tetrahedra, value, floor):
+            if forbidden is not None:
+                tetrahedra = forbidden(ground)
+            return search(ground, tetrahedra, value, floor + raise_floor)
+
+        monkeypatch.setattr(census, "_max_free_subsets", sabotaged)
+
     def test_unsound_pruning_fails_loudly(self, monkeypatch):
-        # with every triple blocked the search never reaches the reference,
-        # and the report must refuse rather than claim the reference's class
-        monkeypatch.setattr(census, "completes_k43", lambda h, t: True)
+        # with every triple forbidden the search never reaches the reference,
+        # and the census must refuse rather than report a smaller optimum
+        self._sabotage(monkeypatch, forbidden=lambda ground: [1 << i for i in range(len(ground))])
+        with pytest.raises(AssertionError):
+            census_k43(4)
+
+    def test_floor_above_the_optimum_fails_loudly(self, monkeypatch):
+        # a floor no free set reaches cuts every maximizer; the census must
+        # refuse rather than report the floor as an optimum nobody attains
+        self._sabotage(monkeypatch, raise_floor=1)
         with pytest.raises(AssertionError):
             census_k43(4)
 
@@ -81,6 +102,51 @@ class TestK43Census:
             census_k43(6, method="naive")
         with pytest.raises(SizeLimitExceeded):
             census_k43(9, method="canonical")
+
+
+class _Captured(Exception):
+    pass
+
+
+@functools.cache
+def _search_input(n: int, method: str) -> tuple[list, list[int]]:
+    """The ground triples and tetrahedron masks census_k43 hands its search."""
+    seen = []
+
+    def capture(ground, forbidden, *rest):
+        seen.append((ground, forbidden))
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census, "_free_subsets" if method == "naive" else "_max_free_subsets", capture)
+        with pytest.raises(_Captured):
+            census_k43(n, method)
+    return seen[0]
+
+
+def _masks_agree_with_contains_k43(n, ground, forbidden, mask):
+    edges = [t for i, t in enumerate(ground) if mask >> i & 1]
+    free = all(mask & f != f for f in forbidden)
+    assert free == (not contains_k43(ThreeGraph(n, edges, _normalized=True))), edges
+
+
+@pytest.mark.parametrize("method", ["canonical", "naive"])
+@pytest.mark.parametrize("n", range(6))
+def test_tetrahedron_masks_match_contains_k43(n, method):
+    # the masks replace completes_k43 in both methods, so check them against
+    # the independent edge-set scan on every triple subset
+    ground, forbidden = _search_input(n, method)
+    assert ground == all_triples(n)
+    for mask in range(1 << len(ground)):
+        _masks_agree_with_contains_k43(n, ground, forbidden, mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([6, 7]), st.data())
+def test_tetrahedron_masks_match_contains_k43_sampled(n, data):
+    ground, forbidden = _search_input(n, "canonical")
+    chosen = data.draw(st.sets(st.integers(0, len(ground) - 1)))
+    _masks_agree_with_contains_k43(n, ground, forbidden, sum(1 << i for i in chosen))
 
 
 def test_maximality_pruning_soundness(rng):
@@ -188,15 +254,17 @@ def test_best_construction_value_tracks_sweep():
 
 # sha256 of dump_json(report.to_json_dict()) per census configuration.
 # Reports are compared byte for byte across versions, so a refactor of the
-# search machinery must leave every one of these unchanged.
+# search machinery must leave every one of these unchanged.  A new search
+# engine changes only its own counters (``nodes_explored``, ``extra``); the
+# content digests below hold everything else of the canonical K4^3 reports.
 REPORT_DIGESTS = {
-    ("k43", "canonical", 0): "6ae0538726025d0b30bc3e78f12e425ab1e783ab2789cc9601a8e25411b96800",
-    ("k43", "canonical", 1): "cf952ad279e48eba27631c73630fb2615f79f3a57aae415be45263f37cdbe618",
-    ("k43", "canonical", 2): "e9f25c767dd5bb396e4e6dc048fe62d4c66543743b8e4373f87120d3f56521e3",
-    ("k43", "canonical", 3): "17b8b07642054a78ef176fbc5566b99ac2aeb4cb2ace1097da979eed45694579",
-    ("k43", "canonical", 4): "cfc85f46f87f6ab6905515a76090a8a35aba1950055940e233764333d7b34931",
-    ("k43", "canonical", 5): "4d4513a6fd116f52bb599549a2d3ae3928200d2dbb0cb611dcc9b15f439a64bf",
-    ("k43", "canonical", 6): "bb359eab5bdb0389c020d8eab1bce9767b718b17d4603baea7d32d80b6faf9c8",
+    ("k43", "canonical", 0): "97f190966ed4d62d628b85a019f275a5c1c0fbcdd3816863ac028587fc1520c6",
+    ("k43", "canonical", 1): "55d8b17361130d06757c94a7ac4aa22ec3b45604c78bbbf46e85ff5e23a7a43e",
+    ("k43", "canonical", 2): "c4f9d621e8088982e8894ba60bc82fe714d80e742f704fdc94c586b61c807cd1",
+    ("k43", "canonical", 3): "a8066a1b3df6dbe524617716e5a155d56a7ee04fb7cdefe3648ec506957ec149",
+    ("k43", "canonical", 4): "69ee7d8356b127b51a06961095ca452a3075e3877e5f4a890f9ec85ae9e5137d",
+    ("k43", "canonical", 5): "d3a3d8a929bbc7d0e1b7b1367ba5c439e7d2ee2fdb4ff9f5cb022bf174caa9a6",
+    ("k43", "canonical", 6): "6eabc6ed5cd7d1402b9d91989fcda58815b89d43ae2e56970b4966a3d5396686",
     ("k43", "naive", 0): "b8ccb3329ee797ab9b46ec811ccce2eb3cf982e7306169407024bc9572e5ce28",
     ("k43", "naive", 1): "7356618c5d9b54ae9823a09bc203c0a6efb8f1461f6ef478c02fae4037e5f605",
     ("k43", "naive", 2): "e3918692bd17d47c9cc3d8c211f227b20cf64267b1269eb4ec82b810b0ffef66",

@@ -83,6 +83,15 @@ def test_census_subcommand(tmp_path, capsys):
     assert "wall_time" not in payload
 
 
+@pytest.mark.parametrize("flags", [[], ["--exhaustive"]])
+def test_census_rejects_negative_vertex_count(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--problem", "k43-l2", "--n", "-1", *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "vertex count must be nonnegative" in captured.err and captured.out == ""
+
+
 def test_census_artifacts(tmp_path, capsys):
     stem = tmp_path / "k4"
     code, _, _ = run(

@@ -7,7 +7,10 @@ with its two checklist coefficients.  ``formats`` is not in the core: its
 ``.cg`` reader builds a ``ColoredGraph``.  Block permutations are enumerated
 in one routine, sorted edge lists are merged with their edits in one
 routine, the colored Mantel edge bound is written once, and the
-construction's closed-form codegree table is handed only to the memo.
+construction's closed-form codegree table is handed only to the memo.  The
+K4^3 census's branch and bound canonicalizes no node and builds no graph,
+and the census no longer reaches for ``completes_k43``; one runtime check
+counts the reference sweeps per census.
 """
 
 import ast
@@ -154,3 +157,28 @@ def test_closed_form_table_is_made_only_for_the_memo():
     assert makers == {("constructions", "construction")}
     # build_c counts its own table, so criterion 1 stays an independent count
     assert receivers == {("constructions", "construction"), ("hypergraph", "with_changes")}
+
+
+def test_k43_search_canonicalizes_only_the_maximizers():
+    search = _functions("census")["_max_free_subsets"]
+    assert _calls_named(search, "canonical_form") == 0
+    assert _calls_named(search, "ThreeGraph") == 0
+    for imported, names in _module_level_imports("census"):
+        assert "completes_k43" not in names, imported
+
+
+def test_k43_census_sweeps_the_reference_once(monkeypatch):
+    from turanl2 import census
+
+    calls = []
+    sweep = census.best_construction_value
+
+    def counted(n):
+        calls.append(n)
+        return sweep(n)
+
+    monkeypatch.setattr(census, "best_construction_value", counted)
+    for method in ("canonical", "naive"):
+        calls.clear()
+        census.census_k43(5, method)
+        assert calls == [5], method
