@@ -9,9 +9,10 @@ structure search), and the tripartite triangle-free edge maximum.
 Every search walks the subsets of a ground list as bitmasks against a list
 of forbidden masks: the four triples of a 4-set, a cyclic triangle, a
 transversal triangle.  Every full scan is one call of :func:`_free_subsets`;
-the K4^3 census's branch and bound is :func:`_max_free_subsets`.  Only the
-maximizers are canonicalized.  Colored graphs are compared up to
-color-preserving relabeling by :func:`hypergraph.least_relabeling`.
+the K4^3 census's branch and bound is :func:`_max_free_subsets`.  Only one
+maximizer per isomorphism class is canonicalized.  Colored graphs are
+compared up to color-preserving relabeling by
+:func:`hypergraph.least_relabeling`.
 
 Census outcomes at these sizes are data: reference constructions are
 compared against, and uniqueness flags are reported, never asserted as
@@ -21,6 +22,7 @@ general theorems.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +41,7 @@ from .hypergraph import (
     Graph,
     ThreeGraph,
     all_triples,
+    canonical_blocks,
     canonical_form,
     graph_l2_norm,
     l2_norm,
@@ -110,8 +113,9 @@ def census_k43(n: int, method: str = "canonical") -> CensusReport:
     naive: scan all tetrahedron-free triple subsets and count l2 on a
     ``ThreeGraph`` (for cross-validation; n <= 5).
 
-    Only the maximizers are canonicalized.  When the reference construction
-    attains the optimum, the report asserts that its class was found.
+    One maximizer per isomorphism class is canonicalized, the classes closed
+    by automorphism counts.  When the reference construction attains the
+    optimum, the report asserts that its class was found.
     """
     if method not in ("canonical", "naive"):
         raise InvalidArgument(f"unknown method {method!r}")
@@ -143,7 +147,18 @@ def census_k43(n: int, method: str = "canonical") -> CensusReport:
             return total
 
         best, argmax, nodes = _max_free_subsets(triples, tetrahedra, l2_of_mask, ref_value)
-    forms = {canonical_form(ThreeGraph(n, edges, _normalized=True))[0] for edges in argmax}
+    # argmax holds every labelled maximizer, a set closed under relabeling, so
+    # it is covered once the orbits found, n!/|Aut| graphs each, sum to its size
+    forms, covered = set(), 0
+    for edges in argmax:
+        if covered >= len(argmax):
+            break
+        g = ThreeGraph(n, edges, _normalized=True)
+        form, _, automorphisms = least_relabeling(n, g.edges, canonical_blocks(g))
+        if form not in forms:
+            forms.add(form)
+            covered += math.factorial(n) // automorphisms
+    assert covered == len(argmax), f"{len(argmax)} labelled maximizers, orbits cover {covered}"
     attains = ref_value == best
     if attains:
         assert canonical_form(build_c(ref_comp)[0])[0] in forms
@@ -279,7 +294,7 @@ def census_colored_mantel(
     colored graphs with all three parts of size n.
 
     exhaustive (3n <= 8): full bitmask scan.  assisted: exact optimization
-    over locally symmetrized blow-up structures with at most ``class_cap``
+    over locally symmetrized blow-up structures with at most ``class_cap`` >= 3
     classes (plus the three rotations of the reference's class profile, so
     the reference is always inside the search space).  The symmetrization
     reduction is proved for the edge objective; for the degree-square
@@ -298,6 +313,8 @@ def census_colored_mantel(
     if mode == "assisted":
         if n < 1:
             raise TuranL2Error(f"assisted colored census needs part size at least 1, got {n}")
+        if class_cap < 3:  # every profile has a class in each part
+            raise InvalidArgument(f"assisted census class cap must be at least 3, got {class_cap}")
         return _mantel_assisted(n, objective, class_cap)
     raise InvalidArgument(f"unknown mode {mode!r}")
 

@@ -412,8 +412,15 @@ def delete_vertex(h: ThreeGraph, v: int) -> ThreeGraph:
     return induce(h, (u for u in range(h.n) if u != v))
 
 
-def _refine_colors(h: ThreeGraph) -> list[int]:
-    """Iterated isomorphism-invariant vertex coloring (refinement only splits)."""
+def canonical_blocks(h: ThreeGraph) -> list[list[int]]:
+    """The vertex blocks of an iterated isomorphism-invariant coloring
+    (refinement only splits), ordered by color; every automorphism preserves
+    them.  Refuses graphs with more than ``CANONICAL_VERTEX_CAP`` vertices
+    rather than approximating."""
+    if h.n > CANONICAL_VERTEX_CAP:
+        raise SizeLimitExceeded(
+            f"canonical form capped at {CANONICAL_VERTEX_CAP} vertices, got {h.n}"
+        )
     by_vertex: list[list[Triple]] = [[] for _ in range(h.n)]
     for t in h.edges:
         for v in t:
@@ -430,7 +437,7 @@ def _refine_colors(h: ThreeGraph) -> list[int]:
         order = {k: i for i, k in enumerate(sorted(set(keys)))}
         colors = [order[k] for k in keys]
         if len(order) == distinct:
-            return colors
+            return [[v for v in range(h.n) if colors[v] == c] for c in range(distinct)]
         distinct = len(order)
 
 
@@ -438,37 +445,30 @@ def canonical_form(h: ThreeGraph) -> tuple[tuple[Triple, ...], tuple[int, ...]]:
     """Canonical edge list plus the relabeling that produces it.
 
     Two graphs have equal canonical forms iff they are isomorphic.  The form
-    is the :func:`least_relabeling` over the blocks of the refined invariant
-    coloring (blocks ordered by color), so only block-internal permutations
-    are searched.
-
-    Refuses graphs with more than ``CANONICAL_VERTEX_CAP`` vertices rather
-    than approximating.
+    is the :func:`least_relabeling` over the :func:`canonical_blocks`, so
+    only block-internal permutations are searched.
     """
-    if h.n > CANONICAL_VERTEX_CAP:
-        raise SizeLimitExceeded(
-            f"canonical form capped at {CANONICAL_VERTEX_CAP} vertices, got {h.n}"
-        )
-    colors = _refine_colors(h)
-    blocks = [[v for v in range(h.n) if colors[v] == c] for c in sorted(set(colors))]
-    return least_relabeling(h.n, h.edges, blocks)
+    return least_relabeling(h.n, h.edges, canonical_blocks(h))[:2]
 
 
 def least_relabeling(
     n: int, edges: Iterable[Sequence[int]], blocks: Sequence[Sequence[int]]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Least sorted relabeled edge list, plus the relabeling that gives it,
-    over the permutations inside each block.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+    """Least sorted relabeled edge list, the relabeling that gives it, and
+    the number of block-internal arrangements that reach it.
 
     The blocks partition 0..n-1 and take consecutive labels in order: the
     first block gets 0..|B_0|-1, the next the labels after those, and so on.
     Edges share one arity (at least 2) and need not be sorted.  Graphs with
     equal blocks get equal forms exactly when a block-preserving permutation
-    maps one edge set onto the other.
+    maps one edge set onto the other.  The arrangements that reach the least
+    list form one coset of the group of block-preserving permutations fixing
+    the edge set; the count is its order, |Aut| over :func:`canonical_blocks`.
     """
     getters = [itemgetter(*e) for e in edges]
     best: Optional[tuple[tuple[int, ...], ...]] = None
     best_map: tuple[int, ...] = ()
+    ties = 0
     for arrangement in itertools.product(*(itertools.permutations(b) for b in blocks)):
         # the blocks, each in its arranged order, list the vertices by new label
         mapping = [0] * n
@@ -476,10 +476,11 @@ def least_relabeling(
             mapping[v] = i
         rel = tuple(sorted(tuple(sorted(get(mapping))) for get in getters))
         if best is None or rel < best:
-            best = rel
-            best_map = tuple(mapping)
+            best, best_map, ties = rel, tuple(mapping), 1
+        elif rel == best:
+            ties += 1
     assert best is not None
-    return best, best_map
+    return best, best_map, ties
 
 
 def all_triples(n: int) -> list[Triple]:

@@ -20,9 +20,11 @@ with equality exactly at the barycenter.  Two verification routes:
   certified by plain interval evaluation or subdivided.
 
 Every box endpoint is a dyadic rational, so both enclosures are evaluated
-on integers at a common scale: each equals the rational interval enclosure
-on the same operation tree times a positive constant, and so decides every
-box exactly as rational interval arithmetic would.
+on integers at a common scale, and only their lower ends, the one bound a
+box decision reads: each lower end equals the rational interval
+enclosure's lower end on the same operation tree times a positive
+constant, and so decides every box exactly as rational interval
+arithmetic would.
 
 The grid sweep is evidence at grid points; the box certificate covers the
 whole simplex.  Both are exact: no floating point is involved anywhere.
@@ -123,73 +125,53 @@ def verify_simplex_inequality(d: int) -> GridReport:
 
 # --- exact integer interval arithmetic on dyadic boxes ----------------------
 #
-# An interval is a pair (lo, hi) of ints read at a scale the caller fixes.
-# Every helper below is positively homogeneous: scaling its operands by
-# positive constants scales its result by the matching constant, with the
-# same min/max choices and sign cases.  So an enclosure built from them
-# equals the rational one on the same operation tree times a positive
-# constant, and its sign decides exactly what the rational one decides.
+# Each function takes a box's ends l_i <= h_i at a scale T the caller fixes,
+# 1/3 reading ``third`` = T/3, and returns the lower end, the one end the
+# certificate reads, of the interval enclosure on the operation tree in its
+# docstring.  Interval operations are positively homogeneous, so this lower
+# end is the rational one times a positive constant and has the same sign.
 
 
-def _add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _sub(x, y):
-    return (x[0] - y[1], x[1] - y[0])
-
-
-def _neg(x):
-    return (-x[1], -x[0])
-
-
-def _mul(x, y):
-    products = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
-    return (min(products), max(products))
-
-
-def _square(x):
-    lo, hi = x
-    if lo >= 0:
-        return (lo * lo, hi * hi)
-    if hi <= 0:
-        return (hi * hi, lo * lo)
-    return (0, max(lo * lo, hi * hi))
-
-
-def _scale(x, k: int):
-    """x times a positive integer k."""
-    return (x[0] * k, x[1] * k)
-
-
-def _margin_direct(x1, x2, x3, third: int):
-    """Enclosure of the margin from x1, x2, x3 given at scale T = 3 * third,
-    so that 1/3 reads ``third``; the result is at scale 2700 T^3."""
+def _margin_direct_lower(l1, h1, l2, h2, l3, h3, third: int) -> int:
+    """Lower end of the direct enclosure rhs - lhs, at scale 2700 T^3, with
+    lhs = 2700 (x1 x2) x3 + 1350 (x1^2 x2 + x2^2 x3 + x3^2 x1) and
+    rhs = 250 T^3 - 54 T sum_i (x_i - third)^2."""
     t = 3 * third
-    c = (third, third)
-    cube = _mul(_mul(x1, x2), x3)
-    cyclic = _add(
-        _add(_mul(_square(x1), x2), _mul(_square(x2), x3)), _mul(_square(x3), x1)
+    a, b, c, d = l1 * l2, l1 * h2, h1 * l2, h1 * h2
+    lo, hi = min(a, b, c, d), max(a, b, c, d)
+    cube = max(lo * l3, lo * h3, hi * l3, hi * h3)
+    # x^2 y is at most h_y times the upper end of x^2 when h_y >= 0, and
+    # h_y times its lower end otherwise
+    cyclic = (
+        h2 * (max(l1 * l1, h1 * h1) if h2 >= 0 else l1 * l1 if l1 > 0 else h1 * h1 if h1 < 0 else 0)
+        + h3 * (max(l2 * l2, h2 * h2) if h3 >= 0 else l2 * l2 if l2 > 0 else h2 * h2 if h2 < 0 else 0)
+        + h1 * (max(l3 * l3, h3 * h3) if h1 >= 0 else l3 * l3 if l3 > 0 else h3 * h3 if h3 < 0 else 0)
     )
-    lhs = _add(_scale(cube, 2700), _scale(cyclic, 1350))
-    penalty = _add(
-        _add(_square(_sub(x1, c)), _square(_sub(x2, c))), _square(_sub(x3, c))
-    )
-    top = 250 * t**3
-    rhs = _sub((top, top), _scale(penalty, 54 * t))
-    return _sub(rhs, lhs)
+    l1, h1, l2, h2, l3, h3 = l1 - third, h1 - third, l2 - third, h2 - third, l3 - third, h3 - third
+    penalty = max(l1 * l1, h1 * h1) + max(l2 * l2, h2 * h2) + max(l3 * l3, h3 * h3)
+    return 250 * t**3 - 54 * t * penalty - 2700 * cube - 1350 * cyclic
 
 
-def _margin_centered(x1, x2, x3, third: int):
-    """The recentered enclosure (11/75) q - (p + D)/4 from x1, x2, x3 at scale
-    T = 3 * third; the result is at scale 300 T^3."""
+def _margin_centered_lower(l1, h1, l2, h2, l3, h3, third: int) -> int:
+    """Lower end of the recentered enclosure 44 T q - 75 (p + D), at scale
+    300 T^3, with u_i = x_i - third, q = sum_i u_i^2, p = (u1 u2) u3 and
+    D = -((u1 - u2)(u2 - u3))(u3 - u1)."""
     t = 3 * third
-    c = (third, third)
-    u1, u2, u3 = _sub(x1, c), _sub(x2, c), _sub(x3, c)
-    q = _add(_add(_square(u1), _square(u2)), _square(u3))
-    p = _mul(_mul(u1, u2), u3)
-    d = _neg(_mul(_mul(_sub(u1, u2), _sub(u2, u3)), _sub(u3, u1)))
-    return _sub(_scale(q, 44 * t), _scale(_add(p, d), 75))
+    # u_i - u_j = x_i - x_j, so -D needs no recentering; take its lower end
+    d1l, d1h, d2l, d2h, d3l, d3h = l1 - h2, h1 - l2, l2 - h3, h2 - l3, l3 - h1, h3 - l1
+    a, b, c, d = d1l * d2l, d1l * d2h, d1h * d2l, d1h * d2h
+    lo, hi = min(a, b, c, d), max(a, b, c, d)
+    minus_d = min(lo * d3l, lo * d3h, hi * d3l, hi * d3h)
+    l1, h1, l2, h2, l3, h3 = l1 - third, h1 - third, l2 - third, h2 - third, l3 - third, h3 - third
+    a, b, c, d = l1 * l2, l1 * h2, h1 * l2, h1 * h2
+    lo, hi = min(a, b, c, d), max(a, b, c, d)
+    p = max(lo * l3, lo * h3, hi * l3, hi * h3)
+    q = (
+        (l1 * l1 if l1 > 0 else h1 * h1 if h1 < 0 else 0)
+        + (l2 * l2 if l2 > 0 else h2 * h2 if h2 < 0 else 0)
+        + (l3 * l3 if l3 > 0 else h3 * h3 if h3 < 0 else 0)
+    )
+    return 44 * t * q - 75 * (p - minus_d)
 
 
 @dataclass(frozen=True)
@@ -262,15 +244,10 @@ def certify_simplex_inequality(min_width: Fraction = Fraction(1, 10**6)) -> Cert
         ):
             certified_center += 1
             continue
-        x1 = (3 * a1, 3 * b1)
-        x2 = (3 * a2, 3 * b2)
-        x3 = (3 * x3_lo, 3 * x3_hi)
+        ends = (3 * a1, 3 * b1, 3 * a2, 3 * b2, 3 * x3_lo, 3 * x3_hi, one)
         # the recentered enclosure decides all but one box at the default
-        # width, so it is tried first; either nonnegative bound certifies
-        if (
-            _margin_centered(x1, x2, x3, one)[0] >= 0
-            or _margin_direct(x1, x2, x3, one)[0] >= 0
-        ):
+        # width, so it is tried first; either nonnegative lower end certifies
+        if _margin_centered_lower(*ends) >= 0 or _margin_direct_lower(*ends) >= 0:
             certified_interval += 1
             continue
         w1 = b1 - a1

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's optimized paths: norms and
 codegree tables are recounted from raw pair iteration, canonical forms are minimized over every
-permutation, subgraph searches enumerate vertex subsets directly, the
+permutation, the K4^3 census's classes come from canonicalizing every labelled
+maximizer, subgraph searches enumerate vertex subsets directly, the
 cyclic construction is recounted from the part counts of every triple, the
 simplex certificate and grid sweep are rerun in Fraction arithmetic, and the
 two toggle checklists are written out separately, one body per phase.
@@ -24,7 +25,7 @@ from turanl2.classification import (
     classify_edges,
 )
 from turanl2.errors import EdgeNotCrossing, EdgeNotInShadow, EdgeNotInternal
-from turanl2.hypergraph import ThreeGraph, normalize_pair
+from turanl2.hypergraph import ThreeGraph, canonical_form, normalize_pair
 from turanl2.inequality import (
     CENTER_RADIUS,
     THIRD,
@@ -62,6 +63,12 @@ def oracle_canonical(h: ThreeGraph):
         if best is None or rel < best:
             best = rel
     return best
+
+
+def oracle_census_classes(n: int, maximizers) -> set:
+    """The K4^3 census's classes the direct way: the canonical form of every
+    labelled maximizer, with no orbit counting."""
+    return {canonical_form(ThreeGraph(n, edges, _normalized=True))[0] for edges in maximizers}
 
 
 def oracle_contains_complete(h: ThreeGraph, k: int) -> bool:

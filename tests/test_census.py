@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
-from turanl2 import census
+from conftest import oracle_census_classes, random_graph
+from turanl2 import census, hypergraph
 from turanl2.census import (
     _tripartite_decompose,
     best_construction_value,
@@ -97,11 +97,59 @@ class TestK43Census:
         with pytest.raises(AssertionError):
             census_k43(4)
 
+    @pytest.mark.parametrize("drop", (0, -1))
+    def test_a_dropped_maximizer_fails_loudly(self, monkeypatch, drop):
+        # the labelled maximizers are then not closed under relabeling, so
+        # the orbits of the classes found cannot add up to their number
+        search = census._max_free_subsets
+
+        def dropping(*args):
+            best, argmax, nodes = search(*args)
+            del argmax[drop]
+            return best, argmax, nodes
+
+        monkeypatch.setattr(census, "_max_free_subsets", dropping)
+        with pytest.raises(AssertionError):
+            census_k43(5)
+
     def test_caps(self):
         with pytest.raises(SizeLimitExceeded):
             census_k43(6, method="naive")
         with pytest.raises(SizeLimitExceeded):
             census_k43(9, method="canonical")
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_classes_match_canonicalizing_every_maximizer(n, monkeypatch):
+    found = []
+    search = census._max_free_subsets
+
+    def recording(*args):
+        result = search(*args)
+        found.append(list(result[1]))
+        return result
+
+    monkeypatch.setattr(census, "_max_free_subsets", recording)
+    report = census_k43(n)
+    forms = oracle_census_classes(n, found[0])
+    assert report.extremal == tuple(sorted(forms))
+    assert report.iso_classes == len(forms)
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_one_permutation_search_per_class(n, monkeypatch):
+    # once per isomorphism class, plus the reference construction's check
+    calls = []
+    search = hypergraph.least_relabeling
+
+    def counting(*args):
+        calls.append(args[0])
+        return search(*args)
+
+    monkeypatch.setattr(census, "least_relabeling", counting)
+    monkeypatch.setattr(hypergraph, "least_relabeling", counting)
+    report = census_k43(n)
+    assert len(calls) == report.iso_classes + 1
 
 
 class _Captured(Exception):

@@ -183,6 +183,17 @@ def test_assisted_mantel_rejects_empty_parts(capsys):
     assert "part size" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("cap", ("-5", "0", "2"))
+def test_assisted_mantel_rejects_a_class_cap_below_three(cap, capsys):
+    # every class profile needs a class in each part, so a cap under 3 would
+    # leave only the reference's rotated profiles to search
+    with pytest.raises(SystemExit) as exc:
+        main(["mantel", "--n", "3", "--class-cap", cap])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "class cap" in captured.err and captured.out == ""
+
+
 def test_bad_rationals_are_usage_errors(tmp_path, capsys):
     stem = tmp_path / "c6"
     run(["construct", "--type", "C", "--sizes", "2,2,2", "--output", str(stem)], capsys)

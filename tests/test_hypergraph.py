@@ -18,6 +18,7 @@ from turanl2.hypergraph import (
     FLAT_COUNT_MAX_N,
     Graph,
     ThreeGraph,
+    canonical_blocks,
     canonical_form,
     codegree,
     contains_k43,
@@ -408,10 +409,49 @@ class TestLeastRelabeling:
                     e for e in itertools.combinations(range(n), arity) if rng.random() < 0.4
                 ]
                 blocks = _random_blocks(rng, n)
-                form, mapping = least_relabeling(n, edges, blocks)
+                form, mapping, _ = least_relabeling(n, edges, blocks)
                 assert _relabel(edges, mapping) == form
                 start = 0
                 for block in blocks:
                     labels = sorted(mapping[v] for v in block)
                     assert labels == list(range(start, start + len(block)))
                     start += len(block)
+
+
+@st.composite
+def _graph_with_blocks(draw):
+    arity = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(0, 6))
+    edges = [e for e in itertools.combinations(range(n), arity) if draw(st.booleans())]
+    order = draw(st.permutations(range(n)))
+    cuts = [i for i in range(1, n) if draw(st.booleans())]
+    blocks = [list(order[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+    return arity, n, edges, blocks
+
+
+def _edge_set_fixers(n, edges, keeps):
+    """Brute force: the permutations of all n! that pass ``keeps`` and map
+    the edge set onto itself."""
+    edge_set = _relabel(edges, range(n))
+    return sum(
+        1
+        for perm in itertools.permutations(range(n))
+        if keeps(perm) and _relabel(edges, perm) == edge_set
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_with_blocks())
+def test_tie_count_is_the_order_of_the_edge_set_stabilizer(case):
+    arity, n, edges, blocks = case
+    block_of = {v: i for i, block in enumerate(blocks) for v in block}
+    _, _, ties = least_relabeling(n, edges, blocks)
+    assert ties == _edge_set_fixers(
+        n, edges, lambda perm: all(block_of[perm[v]] == block_of[v] for v in range(n))
+    )
+    if arity == 3:
+        # every automorphism preserves the refined blocks, so there the
+        # count is the order of the whole automorphism group
+        h = ThreeGraph(n, edges, _normalized=True)
+        _, _, automorphisms = least_relabeling(n, h.edges, canonical_blocks(h))
+        assert automorphisms == _edge_set_fixers(n, edges, lambda perm: True)
