@@ -111,11 +111,14 @@ def write_cg(cg: ColoredGraph) -> str:
 
 
 def _read_text(path: PathLike) -> str:
-    """The file's text; an unreadable file is an input error, not a crash."""
+    """The file's text; an unreadable or non-UTF-8 file is an input error,
+    not a crash."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from exc
 
 
 def load_h3(path: PathLike) -> ThreeGraph:

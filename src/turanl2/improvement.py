@@ -21,6 +21,7 @@ from .classification import (
     TOGGLE_PHASES,
     Checklist,
     Thresholds,
+    TogglePhase,
     check_phase_one_hypotheses,
     check_phase_two_hypotheses,
     classify_edges,
@@ -38,6 +39,13 @@ from .hypergraph import (
 )
 
 PHASES = tuple(TOGGLE_PHASES)  # ("one", "two")
+
+
+def _phase_spec(phase: str) -> TogglePhase:
+    """The phase's toggle spec; an unknown phase is a usage error."""
+    if phase not in PHASES:
+        raise InvalidArgument(f"phase must be one of {PHASES}")
+    return TOGGLE_PHASES[phase]
 
 
 @dataclass(frozen=True)
@@ -93,9 +101,7 @@ def apply_toggle(
     and always reconciles with a from-scratch recomputation.  A precomputed
     classification of (h, p) may be passed to avoid repeating it.
     """
-    if phase not in PHASES:
-        raise InvalidArgument(f"phase must be one of {PHASES}")
-    spec = TOGGLE_PHASES[phase]
+    spec = _phase_spec(phase)
     pair = normalize_pair(e_star, h.n)
     u1, u2 = pair
     if not spec.pair_fits(p, pair):
@@ -198,6 +204,7 @@ def verify_toggle_increase(
     ``h``'s with the three pairs of each gained or lost edge moved by one
     (see :meth:`ThreeGraph.with_changes`), never read off the S-sets.
     """
+    _phase_spec(phase)
     ec = classify_edges(h, p)
     checker = check_phase_one_hypotheses if phase == "one" else check_phase_two_hypotheses
     checklist = checker(h, p, e_star, t, ec=ec)
@@ -432,6 +439,7 @@ def generate_phase_instance(
     positivity is a property to verify exactly, not a consequence of a fully
     passing checklist.
     """
+    spec = _phase_spec(phase)
     xi = Fraction(xi)
     comp = Composition3.balanced(n)
     partition = comp.partition()
@@ -440,7 +448,6 @@ def generate_phase_instance(
     removed: set[Triple] = set()
     added: set[Triple] = set()
 
-    spec = TOGGLE_PHASES[phase]
     if spec.internal:
         u1, u2 = sorted(rng.sample(list(v1), 2))
         pool = list(v2)

@@ -17,14 +17,13 @@ with equality exactly at the barycenter.  Two verification routes:
   (11/50) m^2 - (9/4) m^3 > 0 for 0 < m <= 2/25.  Boxes inside the
   m <= 2/25 ball are certified by that bound (interval arithmetic alone can
   never certify a box containing the equality point); everything else is
-  certified by plain interval evaluation or subdivided.
+  certified by interval evaluation of the recentered form or subdivided.
 
-Every box endpoint is a dyadic rational, so both enclosures are evaluated
-on integers at a common scale, and only their lower ends, the one bound a
-box decision reads: each lower end equals the rational interval
-enclosure's lower end on the same operation tree times a positive
-constant, and so decides every box exactly as rational interval
-arithmetic would.
+Every box endpoint is a dyadic rational, so that enclosure is evaluated on
+integers at a common scale, and only its lower end, the one bound a box
+decision reads: that lower end equals the rational interval enclosure's
+lower end on the same operation tree times a positive constant, and so
+decides every box exactly as rational interval arithmetic would.
 
 The grid sweep is evidence at grid points; the box certificate covers the
 whole simplex.  Both are exact: no floating point is involved anywhere.
@@ -125,31 +124,11 @@ def verify_simplex_inequality(d: int) -> GridReport:
 
 # --- exact integer interval arithmetic on dyadic boxes ----------------------
 #
-# Each function takes a box's ends l_i <= h_i at a scale T the caller fixes,
+# The function takes a box's ends l_i <= h_i at a scale T the caller fixes,
 # 1/3 reading ``third`` = T/3, and returns the lower end, the one end the
 # certificate reads, of the interval enclosure on the operation tree in its
 # docstring.  Interval operations are positively homogeneous, so this lower
 # end is the rational one times a positive constant and has the same sign.
-
-
-def _margin_direct_lower(l1, h1, l2, h2, l3, h3, third: int) -> int:
-    """Lower end of the direct enclosure rhs - lhs, at scale 2700 T^3, with
-    lhs = 2700 (x1 x2) x3 + 1350 (x1^2 x2 + x2^2 x3 + x3^2 x1) and
-    rhs = 250 T^3 - 54 T sum_i (x_i - third)^2."""
-    t = 3 * third
-    a, b, c, d = l1 * l2, l1 * h2, h1 * l2, h1 * h2
-    lo, hi = min(a, b, c, d), max(a, b, c, d)
-    cube = max(lo * l3, lo * h3, hi * l3, hi * h3)
-    # x^2 y is at most h_y times the upper end of x^2 when h_y >= 0, and
-    # h_y times its lower end otherwise
-    cyclic = (
-        h2 * (max(l1 * l1, h1 * h1) if h2 >= 0 else l1 * l1 if l1 > 0 else h1 * h1 if h1 < 0 else 0)
-        + h3 * (max(l2 * l2, h2 * h2) if h3 >= 0 else l2 * l2 if l2 > 0 else h2 * h2 if h2 < 0 else 0)
-        + h1 * (max(l3 * l3, h3 * h3) if h1 >= 0 else l3 * l3 if l3 > 0 else h3 * h3 if h3 < 0 else 0)
-    )
-    l1, h1, l2, h2, l3, h3 = l1 - third, h1 - third, l2 - third, h2 - third, l3 - third, h3 - third
-    penalty = max(l1 * l1, h1 * h1) + max(l2 * l2, h2 * h2) + max(l3 * l3, h3 * h3)
-    return 250 * t**3 - 54 * t * penalty - 2700 * cube - 1350 * cyclic
 
 
 def _margin_centered_lower(l1, h1, l2, h2, l3, h3, third: int) -> int:
@@ -203,10 +182,10 @@ def certify_simplex_inequality(min_width: Fraction = Fraction(1, 10**6)) -> Cert
     """Certify the inequality over the whole simplex by box subdivision.
 
     Boxes are (x1, x2) rectangles; x3 ranges over an exact enclosure of
-    1 - x1 - x2 clipped to the simplex.  A box is certified when the
-    interval margin (the tighter of the direct and recentered enclosures)
-    is nonnegative, or when the whole box sits inside the center ball,
-    where the exact cubic lower bound applies.  Boxes thinner than
+    1 - x1 - x2 clipped to the simplex.  A box is certified when the whole
+    box sits inside the center ball, where the exact cubic lower bound
+    applies, or else when the interval enclosure of the recentered margin
+    has a nonnegative lower end; otherwise it is split.  Boxes thinner than
     ``min_width`` that still cannot be decided are reported, not dropped;
     the width must lie in (0, 1], the root box's width.
 
@@ -244,10 +223,9 @@ def certify_simplex_inequality(min_width: Fraction = Fraction(1, 10**6)) -> Cert
         ):
             certified_center += 1
             continue
-        ends = (3 * a1, 3 * b1, 3 * a2, 3 * b2, 3 * x3_lo, 3 * x3_hi, one)
-        # the recentered enclosure decides all but one box at the default
-        # width, so it is tried first; either nonnegative lower end certifies
-        if _margin_centered_lower(*ends) >= 0 or _margin_direct_lower(*ends) >= 0:
+        if _margin_centered_lower(
+            3 * a1, 3 * b1, 3 * a2, 3 * b2, 3 * x3_lo, 3 * x3_hi, one
+        ) >= 0:
             certified_interval += 1
             continue
         w1 = b1 - a1

@@ -142,17 +142,6 @@ def _as_interval(v) -> Interval:
     return Interval(f, f)
 
 
-def oracle_margin_interval(x1: Interval, x2: Interval, x3: Interval) -> Interval:
-    lhs = x1 * x2 * x3 + (x1.square() * x2 + x2.square() * x3 + x3.square() * x1).scaled(
-        Fraction(1, 2)
-    )
-    penalty = (
-        (x1 - THIRD).square() + (x2 - THIRD).square() + (x3 - THIRD).square()
-    )
-    rhs = _as_interval(Fraction(5, 54)) - penalty.scaled(Fraction(1, 50))
-    return rhs - lhs
-
-
 def oracle_margin_interval_centered(x1: Interval, x2: Interval, x3: Interval) -> Interval:
     u1, u2, u3 = (x - THIRD for x in (x1, x2, x3))
     q = u1.square() + u2.square() + u3.square()
@@ -192,9 +181,7 @@ def oracle_certify_simplex_inequality(min_width: Fraction) -> CertificateReport:
         ):
             certified_center += 1
             continue
-        direct = oracle_margin_interval(x1, x2, x3)
-        centered = oracle_margin_interval_centered(x1, x2, x3)
-        if max(direct.lo, centered.lo) >= 0:
+        if oracle_margin_interval_centered(x1, x2, x3).lo >= 0:
             certified_interval += 1
             continue
         width = max(b1 - a1, b2 - a2)

@@ -243,7 +243,10 @@ def test_argument_errors_exit_2(tmp_path, capsys):
 def test_missing_input_files_exit_2(tmp_path, capsys):
     stem = tmp_path / "c6"
     run(["construct", "--type", "C", "--sizes", "2,2,2", "--output", str(stem)], capsys)
+    not_utf8 = tmp_path / "bad.h3"
+    not_utf8.write_bytes(b"\xff3 1\n0 1 2\n")
     for argv in (["norm", "--input", str(tmp_path / "missing.h3")],
+                 ["norm", "--input", str(not_utf8)],
                  ["classify", "--input", str(stem.with_suffix(".h3")),
                   "--partition", str(tmp_path / "missing.p3")],
                  ["symmetrize", "--input", str(tmp_path / "missing.cg")]):

@@ -6,7 +6,7 @@ from conftest import oracle_codegrees, oracle_l2, random_graph
 from turanl2.classification import Thresholds, classify_edges
 from turanl2.colored import Partition3
 from turanl2.constructions import Composition3, build_balanced_c, construction
-from turanl2.errors import EdgePhaseMismatch
+from turanl2.errors import EdgePhaseMismatch, InvalidArgument
 from turanl2.hypergraph import l2_norm, make_graph
 from turanl2 import improvement
 from turanl2.improvement import (
@@ -50,12 +50,22 @@ def test_toggle_phase_two_fills_missing_transversal():
     assert len(rep.s2a) == len(rep.s2b) == 0
 
 
-def test_toggle_phase_mismatch():
+def test_toggle_phase_mismatch(rng):
     c6, p6 = build_balanced_c(6)
     with pytest.raises(EdgePhaseMismatch):
         apply_toggle(c6, p6, (0, 2), "one")
     with pytest.raises(EdgePhaseMismatch):
         apply_toggle(c6, p6, (0, 1), "two")
+    # an unknown phase is a usage error before any pair or checklist is read
+    t = Thresholds(Fraction(1, 100))
+    for call in (
+        lambda: apply_toggle(c6, p6, (0, 1), "three"),
+        lambda: verify_toggle_increase(c6, p6, (0, 1), "three", t),
+        lambda: generate_phase_instance(rng, 6, Fraction(1, 100), "three"),
+    ):
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert str(info.value) == "phase must be one of ('one', 'two')"
 
 
 def _random_phase_pair(rng, parts, n, phase):

@@ -10,7 +10,6 @@ from conftest import (
     Interval,
     oracle_certify_simplex_inequality,
     oracle_contains_complete,
-    oracle_margin_interval,
     oracle_margin_interval_centered,
     oracle_verify_simplex_inequality,
     random_graph,
@@ -21,7 +20,6 @@ from turanl2.inequality import (
     CENTER_RADIUS,
     THIRD,
     _margin_centered_lower,
-    _margin_direct_lower,
     center_lemma_floor,
     certify_simplex_inequality,
     duplicate_vertex,
@@ -129,7 +127,7 @@ def test_default_certificate_counts():
         cert.boxes_certified_center,
         cert.boxes_skipped_outside,
         cert.max_depth,
-    ) == (180, 8, 9, 11)
+    ) == (181, 8, 9, 11)
 
 
 def _dyadic_interval(depth):
@@ -152,11 +150,23 @@ def test_integer_enclosures_are_scaled_fraction_enclosures(box):
     t = 3 * one
     scaled = [3 * v for end in ends for v in end]
     rational = [Interval(Fraction(lo, one), Fraction(hi, one)) for lo, hi in ends]
-    for lower, oracle, scale in (
-        (_margin_direct_lower, oracle_margin_interval, 2700 * t**3),
-        (_margin_centered_lower, oracle_margin_interval_centered, 300 * t**3),
-    ):
-        assert lower(*scaled, one) == oracle(*rational).lo * scale
+    assert (
+        _margin_centered_lower(*scaled, one)
+        == oracle_margin_interval_centered(*rational).lo * 300 * t**3
+    )
+
+
+def test_point_enclosure_is_the_scaled_margin():
+    # a box with equal ends encloses one point exactly, so the certificate's
+    # only enclosure is tied to ``margin`` itself, not just to its oracle
+    for d in range(1, 61):
+        scale = 300 * (3 * d) ** 3
+        for a in range(d + 1):
+            for b in range(d + 1 - a):
+                c = d - a - b
+                assert _margin_centered_lower(
+                    3 * a, 3 * a, 3 * b, 3 * b, 3 * c, 3 * c, d
+                ) == scale * margin(Fraction(a, d), Fraction(b, d), Fraction(c, d))
 
 
 def test_certificate_has_no_undecided_boxes():
