@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,7 @@ from turanl2.errors import (
     TooFewVertices,
 )
 from turanl2.hypergraph import make_pair_graph
+from turanl2.util import dump_json
 
 
 def colored(n, colors, edges):
@@ -347,3 +350,30 @@ def test_rho3_color_preserving_equivariance(rng):
         edges = [tuple(sorted((mapping[a], mapping[b]))) for a, b in cg.graph.edges]
         relabeled = ColoredGraph(make_pair_graph(n, edges), cg.partition)
         assert rho3(relabeled) == rho3(cg)
+
+
+def _symmetrization_digest(seed: int = 9, trials: int = 300) -> str:
+    """sha256 over the symmetrized edges, the merge log and the fact report
+    of ``trials`` seeded random inputs drawn as criterion 9 draws them."""
+    rng = random.Random(seed)
+    records = []
+    for _ in range(trials):
+        n = rng.randint(3, 12)
+        out, log = locally_symmetrize(random_cyclic_triangle_free(rng, n, rng.random()))
+        records.append(
+            {
+                "edges": out.graph.edges,
+                "log": [
+                    [s.part, s.merged_class, s.target_class, s.edges_before, s.edges_after]
+                    for s in log
+                ],
+                "facts": check_symmetrized_facts(out).to_json_dict(),
+            }
+        )
+    return hashlib.sha256(dump_json(records).encode()).hexdigest()
+
+
+def test_symmetrization_results_are_pinned():
+    assert _symmetrization_digest() == (
+        "d9b513391f99fb1854e01858ca45bcf45b0d903ee912ce2a391afe35f593ea38"
+    )
