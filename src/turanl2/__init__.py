@@ -28,13 +28,13 @@ from .classification import (
 )
 from .colored import (
     ColoredGraph,
+    DirectedView,
     EquivalenceClasses,
     FactsReport,
     build_lambda,
     check_symmetrized_facts,
     class_symmetrize,
     degree_sum_on_path,
-    directed_structure,
     equivalence_classes,
     graph_l2_norm,
     is_cyclic_triangle_free,

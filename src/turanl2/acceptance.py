@@ -389,9 +389,10 @@ def run_suite(
     quick: bool = False,
 ) -> list[CriterionResult]:
     """Run the selected criteria (all twelve by default) and print one line
-    each.  ``quick`` shrinks the randomized trial counts for smoke runs; the
-    pinned acceptance scales are the defaults."""
-    selected = sorted(numbers) if numbers else sorted(CRITERIA)
+    each; a criterion named twice runs once.  ``quick`` shrinks the
+    randomized trial counts for smoke runs; the pinned acceptance scales are
+    the defaults."""
+    selected = sorted(set(numbers or CRITERIA))
     results = []
     for number in selected:
         if number not in CRITERIA:

@@ -36,7 +36,7 @@ from .constructions import (
     compositions_of,
     cyclic_triples,
 )
-from .errors import InvalidArgument, SizeLimitExceeded, TuranL2Error, VertexOutOfRange
+from .errors import InvalidArgument, SizeLimitExceeded, VertexOutOfRange
 from .hypergraph import (
     Graph,
     ThreeGraph,
@@ -312,7 +312,7 @@ def census_colored_mantel(
         return _mantel_exhaustive(n, objective)
     if mode == "assisted":
         if n < 1:
-            raise TuranL2Error(f"assisted colored census needs part size at least 1, got {n}")
+            raise InvalidArgument(f"assisted colored census needs part size at least 1, got {n}")
         if class_cap < 3:  # every profile has a class in each part
             raise InvalidArgument(f"assisted census class cap must be at least 3, got {class_cap}")
         return _mantel_assisted(n, objective, class_cap)
@@ -444,46 +444,27 @@ def _mantel_assisted(n: int, objective: str, class_cap: int) -> CensusReport:
 
 
 def _blowup_value(objective, n, sizes, phis) -> int:
-    sizes1, sizes2, sizes3 = sizes
-    phi1, phi2, phi3 = phis
-    parts = (sizes1, sizes2, sizes3)
-    if objective == "edges":
-        total = 0
-        for part_sizes in parts:
-            total += n * (n - 1) // 2 - sum(a * (a - 1) // 2 for a in part_sizes)
-        for idx, phi, prev in ((1, phi2, sizes1), (2, phi3, sizes2), (0, phi1, sizes3)):
-            cur = parts[idx]
-            for j, target in enumerate(phi):
-                if target:
-                    total += cur[j] * prev[target - 1]
-        return total
-    # degree-square sum
-    outs: list[list[int]] = [
-        [0] * len(sizes1),
-        [0] * len(sizes2),
-        [0] * len(sizes3),
-    ]
-    # out-degree contributions: class c in part i receives from classes in
-    # part i+1 whose in-class is c
-    for j, target in enumerate(phi2):
-        if target:
-            outs[0][target - 1] += sizes2[j]
-    for j, target in enumerate(phi3):
-        if target:
-            outs[1][target - 1] += sizes3[j]
-    for j, target in enumerate(phi1):
-        if target:
-            outs[2][target - 1] += sizes1[j]
-    total = 0
-    for i, (part_sizes, phi, prev_sizes) in enumerate(
-        ((sizes1, phi1, sizes3), (sizes2, phi2, sizes1), (sizes3, phi3, sizes2))
-    ):
-        for j, size in enumerate(part_sizes):
-            internal = n - size
-            inward = prev_sizes[phi[j] - 1] if phi[j] else 0
-            deg = internal + inward + outs[i][j]
-            total += size * deg * deg
-    return total
+    """Edges or degree-square sum of the blow-up with these class sizes and
+    in-maps, from one degree pass: each class is independent, distinct classes
+    of one part are joined completely, and class j of part i is joined
+    completely to its in-class phi_i[j] in part i - 1 (0 means none)."""
+    # class c of part i receives out-edges from the classes of part i + 1
+    # whose in-class is c
+    outs = [[0] * len(part_sizes) for part_sizes in sizes]
+    for i in (0, 1, 2):
+        below, part_sizes = outs[i - 1], sizes[i]
+        for j, target in enumerate(phis[i]):
+            if target:
+                below[target - 1] += part_sizes[j]
+    degree_sum = square_sum = 0
+    for i in (0, 1, 2):
+        phi, out, prev_sizes = phis[i], outs[i], sizes[i - 1]
+        for j, size in enumerate(sizes[i]):
+            deg = n - size + out[j] + (prev_sizes[phi[j] - 1] if phi[j] else 0)
+            weighted = size * deg
+            degree_sum += weighted
+            square_sum += weighted * deg
+    return degree_sum // 2 if objective == "edges" else square_sum
 
 
 # ---------------------------------------------------------------------------

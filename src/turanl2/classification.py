@@ -186,9 +186,9 @@ def optimize_partition(
 
     vertexMoves: local search from ``initial`` (balanced by label when
     omitted); repeatedly applies the first strictly improving single-vertex
-    reassignment, scanning vertices cyclically.  At the fixpoint no single
-    move increases the overlap, so the two link inequalities hold at every
-    vertex.
+    reassignment, scanning vertices from 0 and restarting the scan at 0
+    after each improving move.  At the fixpoint no single move increases the
+    overlap, so the two link inequalities hold at every vertex.
     """
     if mode == "exhaustive":
         if h.n > EXHAUSTIVE_PARTITION_CAP:

@@ -36,9 +36,12 @@ from .errors import (
     PartitionMismatch,
     SameClass,
     SameVertex,
+    SizeLimitExceeded,
     TooFewVertices,
 )
 from .hypergraph import Graph, check_vertex, graph_l2_norm, make_pair_graph
+
+LONGEST_PATH_CAP = 15
 
 
 class ColoredGraph:
@@ -156,9 +159,16 @@ def symmetrize(cg: ColoredGraph, u: int, v: int) -> ColoredGraph:
         raise SameVertex("cannot symmetrize a vertex to itself")
     check_vertex(u, cg.n)
     check_vertex(v, cg.n)
-    target = cg.graph.neighbors(v)
-    remove = [e for e in cg.graph.edges if u in e]
-    add = [tuple(sorted((u, w))) for w in target if w != u]
+    return _merge(cg, (u,), v)
+
+
+def _merge(cg: ColoredGraph, movers: Sequence[int], to_vertex: int) -> ColoredGraph:
+    """Replace the incident edges of every mover by {xw : w in N(to_vertex)},
+    excluding each mover's self-pair: the one neighborhood rewrite."""
+    mover_set = set(movers)
+    target = cg.graph.neighbors(to_vertex)
+    remove = [e for e in cg.graph.edges if e[0] in mover_set or e[1] in mover_set]
+    add = {(x, w) if x < w else (w, x) for x in movers for w in target if w != x}
     return cg.with_graph(cg.graph.with_changes(add=add, remove=remove))
 
 
@@ -203,17 +213,9 @@ def class_symmetrize(cg: ColoredGraph, from_vertex: int, to_vertex: int) -> Colo
     check_vertex(to_vertex, cg.n)
     if cg.part_of(from_vertex) != cg.part_of(to_vertex):
         raise CrossPartClasses("classes must lie in the same part")
-    src = cg.graph.neighbors(from_vertex)
-    if src == cg.graph.neighbors(to_vertex):
+    if cg.graph.neighbors(from_vertex) == cg.graph.neighbors(to_vertex):
         raise SameClass("the two vertices already lie in one class")
-    movers = _class_members(cg, from_vertex)
-    target = cg.graph.neighbors(to_vertex)
-    mover_set = set(movers)
-    remove = [e for e in cg.graph.edges if e[0] in mover_set or e[1] in mover_set]
-    add = {
-        tuple(sorted((x, w))) for x in movers for w in target if w != x
-    }
-    return cg.with_graph(cg.graph.with_changes(add=sorted(add), remove=remove))
+    return _merge(cg, equivalence_classes(cg).class_members(from_vertex), to_vertex)
 
 
 @dataclass(frozen=True)
@@ -256,47 +258,30 @@ def locally_symmetrize(cg: ColoredGraph) -> tuple[ColoredGraph, list[MergeStep]]
         if pair is None:
             return current, log
         u, v = pair
-        cls_u = _class_members(current, u)
-        cls_v = _class_members(current, v)
+        ec = equivalence_classes(current)
+        cls_u = ec.class_members(u)
+        cls_v = ec.class_members(v)
         deg_u = current.graph.degree(u)
         deg_v = current.graph.degree(v)
         m = len(current.graph.edges)
         to_v_count = m + len(cls_u) * (deg_v - deg_u)
         to_u_count = m + len(cls_v) * (deg_u - deg_v)
-        if to_v_count > to_u_count:
-            src, dst = u, v
-            after = to_v_count
-        elif to_u_count > to_v_count:
-            src, dst = v, u
-            after = to_u_count
-        elif min(cls_u) < min(cls_v):
-            src, dst = v, u
-            after = to_u_count
+        if to_v_count > to_u_count or (to_v_count == to_u_count and cls_u[0] > cls_v[0]):
+            movers, target, dst, after = cls_u, cls_v, v, to_v_count
         else:
-            src, dst = u, v
-            after = to_v_count
-        merged = class_symmetrize(current, src, dst)
+            movers, target, dst, after = cls_v, cls_u, u, to_u_count
+        merged = _merge(current, movers, dst)
+        assert len(merged.graph.edges) == after
         log.append(
             MergeStep(
                 part=current.partition.parts[u],
-                merged_class=_class_members(current, src),
-                target_class=_class_members(current, dst),
+                merged_class=movers,
+                target_class=target,
                 edges_before=m,
-                edges_after=len(merged.graph.edges),
+                edges_after=after,
             )
         )
-        assert len(merged.graph.edges) == after
         current = merged
-
-
-def _class_members(cg: ColoredGraph, v: int) -> tuple[int, ...]:
-    adj = cg.graph.adjacency()
-    nb = adj[v]
-    return tuple(
-        x
-        for x in sorted(cg.partition.part_sets()[cg.partition.parts[v] - 1])
-        if adj[x] == nb
-    )
 
 
 @dataclass(frozen=True)
@@ -344,10 +329,9 @@ def check_symmetrized_facts(
     ``classes`` may be supplied explicitly (e.g. to probe a claimed class
     structure); by default the true equivalence classes are used.
     """
-    if _first_violation(cg) is not None:
-        raise NotLocallySymmetrized(
-            f"nonadjacent inequivalent same-part pair: {_first_violation(cg)}"
-        )
+    pair = _first_violation(cg)
+    if pair is not None:
+        raise NotLocallySymmetrized(f"nonadjacent inequivalent same-part pair: {pair}")
     ec = classes if classes is not None else equivalence_classes(cg)
     adj = cg.graph.adjacency()
     facts: list[FactCheck] = []
@@ -403,7 +387,7 @@ def check_symmetrized_facts(
         facts.append(FactCheck("in-neighborhood-single-class", witness is None, witness))
 
         witness = None
-        view = directed_structure(cg)
+        view = DirectedView(cg)
         for u, v in view.directed_edges:
             if _neighbors_in_part(cg, u, prev_part(parts[u])) & _neighbors_in_part(
                 cg, v, next_part(parts[v])
@@ -442,29 +426,6 @@ class DirectedView:
         for lst in self.out:
             lst.sort()
         self.directed_edges: tuple[tuple[int, int], ...] = tuple(sorted(edges))
-
-    def has_directed_cycle(self) -> bool:
-        state = [0] * self.cg.n
-        for start in range(self.cg.n):
-            if state[start]:
-                continue
-            stack = [(start, iter(self.out[start]))]
-            state[start] = 1
-            while stack:
-                v, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if state[w] == 1:
-                        return True
-                    if state[w] == 0:
-                        state[w] = 1
-                        stack.append((w, iter(self.out[w])))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[v] = 2
-                    stack.pop()
-        return False
 
     def shortest_directed_cycle(self) -> Optional[list[int]]:
         """A minimum-length directed cycle as a vertex list, or None."""
@@ -523,59 +484,45 @@ class DirectedView:
             dfs([start], {start})
         return [list(c) for c in sorted(found)]
 
-    def longest_directed_path(self, exact_cap: int = 15) -> tuple[int, list[int], bool]:
-        """(vertex count, path, exact?).  Exact subset DP up to ``exact_cap``
-        vertices, greedy extension beyond it."""
+    def longest_directed_path(self) -> tuple[int, list[int]]:
+        """(vertex count, path) of a longest directed path, by exact subset
+        DP.  Refuses views with more than ``LONGEST_PATH_CAP`` vertices
+        rather than approximating."""
         n = self.cg.n
+        if n > LONGEST_PATH_CAP:
+            raise SizeLimitExceeded(
+                f"longest directed path capped at {LONGEST_PATH_CAP} vertices, got {n}"
+            )
         if n == 0:
-            return 0, [], True
-        if n <= exact_cap:
-            best_len = 1
-            best_path = [0]
-            # longest[mask] maps last vertex -> predecessor info via parents
-            layer: dict[tuple[int, int], int] = {(1 << v, v): -1 for v in range(n)}
-            frontier = list(layer.keys())
-            depth = 1
-            while frontier:
-                nxt: dict[tuple[int, int], int] = {}
-                for mask, last in frontier:
-                    for w in self.out[last]:
-                        if not mask >> w & 1:
-                            key = (mask | 1 << w, w)
-                            if key not in layer and key not in nxt:
-                                nxt[key] = last
-                layer.update(nxt)
-                if nxt:
-                    depth += 1
-                    mask, last = next(iter(sorted(nxt)))
-                    path = [last]
-                    key = (mask, last)
-                    while layer[key] != -1:
-                        prev = layer[key]
-                        path.append(prev)
-                        key = (key[0] ^ 1 << key[1], prev)
-                    path.reverse()
-                    best_len, best_path = depth, path
-                frontier = list(nxt.keys())
-            return best_len, best_path, True
-        # Greedy: repeatedly extend from each start by least out-neighbor.
-        best_path = []
-        for start in range(n):
-            path = [start]
-            seen = {start}
-            while True:
-                options = [w for w in self.out[path[-1]] if w not in seen]
-                if not options:
-                    break
-                path.append(options[0])
-                seen.add(options[0])
-            if len(path) > len(best_path):
-                best_path = path
-        return len(best_path), best_path, False
-
-
-def directed_structure(cg: ColoredGraph) -> DirectedView:
-    return DirectedView(cg)
+            return 0, []
+        best_len = 1
+        best_path = [0]
+        # maps (visited mask, last vertex) to the predecessor, -1 at a start
+        layer: dict[tuple[int, int], int] = {(1 << v, v): -1 for v in range(n)}
+        frontier = list(layer.keys())
+        depth = 1
+        while frontier:
+            nxt: dict[tuple[int, int], int] = {}
+            for mask, last in frontier:
+                for w in self.out[last]:
+                    if not mask >> w & 1:
+                        key = (mask | 1 << w, w)
+                        if key not in layer and key not in nxt:
+                            nxt[key] = last
+            layer.update(nxt)
+            if nxt:
+                depth += 1
+                mask, last = next(iter(sorted(nxt)))
+                path = [last]
+                key = (mask, last)
+                while layer[key] != -1:
+                    prev = layer[key]
+                    path.append(prev)
+                    key = (key[0] ^ 1 << key[1], prev)
+                path.reverse()
+                best_len, best_path = depth, path
+            frontier = list(nxt.keys())
+        return best_len, best_path
 
 
 @dataclass(frozen=True)
@@ -682,7 +629,6 @@ __all__ = [
     "class_symmetrize",
     "cyclic_triangles",
     "degree_sum_on_path",
-    "directed_structure",
     "equivalence_classes",
     "graph_l2_norm",
     "is_cyclic_triangle_free",

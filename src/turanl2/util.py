@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .errors import TuranL2Error
+from .errors import InvalidArgument
 
 _JSON_INT_LIMIT = 1 << 53
 
@@ -16,7 +16,7 @@ def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise TuranL2Error(f"not an exact rational: {text!r}") from exc
+        raise InvalidArgument(f"not an exact rational: {text!r}") from exc
 
 
 def frac_str(x: Fraction) -> str:

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import oracle_census_classes, random_graph
 from turanl2 import census, hypergraph
 from turanl2.census import (
+    _blowup_value,
     _tripartite_decompose,
     best_construction_value,
     census_colored_mantel,
@@ -22,7 +24,9 @@ from turanl2.hypergraph import (
     canonical_form,
     completes_k43,
     contains_k43,
+    graph_l2_norm,
     l2_norm,
+    make_pair_graph,
 )
 from turanl2.inequality import s_spread
 from turanl2.util import dump_json
@@ -266,6 +270,44 @@ class TestColoredMantelCensus:
     def test_exhaustive_cap(self):
         with pytest.raises(SizeLimitExceeded):
             census_colored_mantel(3, "edges", mode="exhaustive")
+
+    def test_blowup_value_matches_the_explicit_blowup(self):
+        profiles = [k for k in itertools.product((1, 2), repeat=3) if sum(k) <= 4]
+        checked = 0
+        for n in (1, 2, 3):
+            for k in profiles:
+                splits = [
+                    [c for c in itertools.product(range(1, n + 1), repeat=ki) if sum(c) == n]
+                    for ki in k
+                ]
+                # phi_i maps the classes of part i to 0 (no in-class) or a class of part i - 1
+                in_maps = [itertools.product(range(k[i - 1] + 1), repeat=k[i]) for i in range(3)]
+                for phis in itertools.product(*map(list, in_maps)):
+                    for sizes in itertools.product(*splits):
+                        g = _explicit_blowup(n, sizes, phis)
+                        assert _blowup_value("edges", n, sizes, phis) == len(g.edges)
+                        assert _blowup_value("l2", n, sizes, phis) == graph_l2_norm(g)
+                        checked += 1
+        assert checked == 240
+
+
+def _explicit_blowup(n, sizes, phis):
+    """The colored blow-up as a graph on 3n vertices, part by part."""
+    classes, start = [], 0
+    for part_sizes in sizes:
+        part = []
+        for size in part_sizes:
+            part.append(range(start, start + size))
+            start += size
+        classes.append(part)
+    edges = []
+    for i, part in enumerate(classes):
+        for a, b in itertools.combinations(part, 2):
+            edges += [(x, y) for x in a for y in b]
+        for j, target in enumerate(phis[i]):
+            if target:
+                edges += [tuple(sorted((x, y))) for x in part[j] for y in classes[i - 1][target - 1]]
+    return make_pair_graph(3 * n, edges)
 
 
 class TestTripartiteCensus:

@@ -12,6 +12,7 @@ from turanl2.improvement import apply_toggle, build_queues
 from turanl2.inequality import verify_simplex_inequality
 from turanl2.formats import load_h3, load_p3, write_cg
 from turanl2.colored import build_lambda
+from turanl2.util import parse_fraction
 
 
 def run(argv, capsys):
@@ -130,10 +131,12 @@ def test_ineq_subcommand(capsys):
 
 
 def test_check_subcommand_quick(capsys):
-    code, out, _ = run(["check", "--suite", "2,3,12", "--quick"], capsys)
-    assert code == 0
-    lines = [l for l in out.splitlines() if l.startswith("[")]
-    assert len(lines) == 3 and all(l.startswith("[PASS]") for l in lines)
+    # a criterion named twice runs once
+    for suite, count in (("2,3,12", 3), ("12,12", 1)):
+        code, out, _ = run(["check", "--suite", suite, "--quick"], capsys)
+        assert code == 0
+        lines = [l for l in out.splitlines() if l.startswith("[")]
+        assert len(lines) == count and all(l.startswith("[PASS]") for l in lines)
 
 
 def test_reports_are_byte_identical_for_same_config(tmp_path, capsys):
@@ -181,6 +184,8 @@ def test_assisted_mantel_rejects_empty_parts(capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "part size" in captured.err and captured.out == ""
+    with pytest.raises(InvalidArgument):
+        census_colored_mantel(0, mode="assisted")
 
 
 @pytest.mark.parametrize("cap", ("-5", "0", "2"))
@@ -206,6 +211,8 @@ def test_bad_rationals_are_usage_errors(tmp_path, capsys):
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert repr(argv[-1]) in captured.err and captured.out == ""
+        with pytest.raises(InvalidArgument):
+            parse_fraction(argv[-1])
 
 
 @pytest.mark.parametrize("command", ("classify", "improve"))

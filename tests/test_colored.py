@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 
 from turanl2.colored import (
+    LONGEST_PATH_CAP,
     ColoredGraph,
+    DirectedView,
     Partition3,
     build_lambda,
     check_symmetrized_facts,
     class_symmetrize,
     cyclic_triangles,
     degree_sum_on_path,
-    directed_structure,
     equivalence_classes,
     graph_l2_norm,
     is_cyclic_triangle_free,
@@ -30,6 +31,7 @@ from turanl2.errors import (
     NotLocallySymmetrized,
     SameClass,
     SameVertex,
+    SizeLimitExceeded,
     TooFewVertices,
 )
 from turanl2.hypergraph import make_pair_graph
@@ -215,27 +217,28 @@ def test_check_symmetrized_facts_vacuous_on_edgeless():
 
 def test_directed_structure():
     lam = build_lambda(2, 2, 2)
-    view = directed_structure(lam)
-    assert not view.has_directed_cycle()
+    view = DirectedView(lam)
     assert view.shortest_directed_cycle() is None
     tri = colored(3, "123", [(0, 1), (0, 2), (1, 2)])
-    view2 = directed_structure(tri)
-    assert view2.has_directed_cycle()
+    view2 = DirectedView(tri)
     assert view2.shortest_directed_cycle() == [0, 1, 2]
     assert view2.minimum_directed_cycles() == [[0, 1, 2]]
     empty = colored(4, "1233", [])
-    view3 = directed_structure(empty)
-    assert not view3.has_directed_cycle()
-    assert view3.longest_directed_path() == (1, [0], True)
+    view3 = DirectedView(empty)
+    assert view3.shortest_directed_cycle() is None
+    assert view3.longest_directed_path() == (1, [0])
 
 
-def test_longest_directed_path_exact_vs_greedy():
+def test_longest_directed_path_is_exact_and_capped():
     lam = build_lambda(2, 2, 2)
-    view = directed_structure(lam)
-    length, path, exact = view.longest_directed_path()
-    assert exact and length == 3  # part1 -> part2 -> part3 and no way back
-    length_g, path_g, exact_g = view.longest_directed_path(exact_cap=2)
-    assert not exact_g and length_g <= length
+    length, path = DirectedView(lam).longest_directed_path()
+    assert length == 3 == len(path)  # part1 -> part2 -> part3 and no way back
+    assert [lam.part_of(v) for v in path] == [1, 2, 3]
+    # a directed six-cycle padded to the cap: the longest path walks the cycle
+    at_cap = _double_cycle(LONGEST_PATH_CAP - 6)
+    assert DirectedView(at_cap).longest_directed_path()[0] == 6
+    with pytest.raises(SizeLimitExceeded):
+        DirectedView(_double_cycle(LONGEST_PATH_CAP - 5)).longest_directed_path()
 
 
 def test_degree_sum_on_path_reference():
@@ -266,7 +269,7 @@ def test_degree_sum_bound_on_synthetic_symmetrized_graphs(rng):
     for _ in range(25):
         cg = random_cyclic_triangle_free(rng, rng.randint(6, 9), rng.random())
         out, _ = locally_symmetrize(cg)
-        view = directed_structure(out)
+        view = DirectedView(out)
         by_part = {i: sorted(out.partition.part_sets()[i - 1]) for i in (1, 2, 3)}
         adj = out.graph.adjacency()
         segs = [
@@ -323,7 +326,7 @@ def test_minimum_cycles_class_distinct_when_present():
         assert is_cyclic_triangle_free(cg)
         fixed, log = locally_symmetrize(cg)
         assert fixed == cg and log == []  # already a fixpoint
-        view = directed_structure(cg)
+        view = DirectedView(cg)
         cycle = view.shortest_directed_cycle()
         assert cycle is not None and len(cycle) == 6
         report = check_symmetrized_facts(cg)

@@ -6,7 +6,8 @@ model's names are assigned in one module only, as is the toggle-phase table
 with its two checklist coefficients.  ``formats`` is not in the core: its
 ``.cg`` reader builds a ``ColoredGraph``.  Block permutations are enumerated
 in one routine, sorted edge lists are merged with their edits in one
-routine, the colored Mantel edge bound is written once, and the
+routine, colored neighbourhoods are rewritten in one routine, the colored
+Mantel edge bound is written once, and the
 construction's closed-form codegree table is handed only to the memo.  The
 K4^3 census's branch and bound canonicalizes no node and builds no graph,
 and the census no longer reaches for ``completes_k43``; one runtime check
@@ -134,6 +135,22 @@ def test_edge_merge_has_one_body():
     total = {path.stem: _calls_named(_tree(path.stem), "bisect_left") for path in SRC.glob("*.py")}
     assert {m: c for m, c in total.items() if c} == {"hypergraph": 1}
     assert _calls_named(_functions("hypergraph")["edit_sorted"], "bisect_left") == 1
+
+
+def test_colored_neighbourhoods_are_rewritten_in_one_body():
+    functions = _functions("colored")
+    adders = {
+        name
+        for name, node in functions.items()
+        if any(
+            _calls_named(sub, "with_changes") and any(k.arg == "add" for k in sub.keywords)
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call)
+        )
+    }
+    assert adders == {"_merge"}
+    for name in ("symmetrize", "class_symmetrize", "locally_symmetrize"):
+        assert _calls_named(functions[name], "_merge") == 1, name
 
 
 def _keyword_calls(node, keyword: str) -> int:
