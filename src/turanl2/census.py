@@ -32,7 +32,7 @@ from .colored import build_lambda
 from .constructions import (
     Composition3,
     build_c,
-    c_l2_closed,
+    c_l2_doubled,
     compositions_of,
     cyclic_triples,
 )
@@ -88,14 +88,14 @@ class CensusReport:
 
 
 def best_construction_value(n: int) -> tuple[int, Composition3]:
-    best = Fraction(-1)
+    best = -1
     arg = Composition3(n, 0, 0)
     for c in compositions_of(n):
-        v = c_l2_closed(c)
+        v = c_l2_doubled(c)
         if v > best:
             best, arg = v, c
-    assert best.denominator == 1
-    return int(best), arg
+    assert best % 2 == 0
+    return best // 2, arg
 
 
 def census_k43(n: int, method: str = "canonical") -> CensusReport:

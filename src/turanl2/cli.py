@@ -242,20 +242,22 @@ def cmd_symmetrize(args) -> int:
     cg = load_cg(args.input)
     out, log = locally_symmetrize(cg)
     facts = check_symmetrized_facts(out)
+    free_in = is_cyclic_triangle_free(cg)
+    free_out = is_cyclic_triangle_free(out)
     payload = _header(
         args,
         edges_before=len(cg.graph.edges),
         edges_after=len(out.graph.edges),
         merge_steps=len(log),
-        cyclic_triangle_free_in=is_cyclic_triangle_free(cg),
-        cyclic_triangle_free_out=is_cyclic_triangle_free(out),
+        cyclic_triangle_free_in=free_in,
+        cyclic_triangle_free_out=free_out,
         facts=facts.to_json_dict(),
     )
     _emit(args, payload)
     if args.output:
         save_cg(out, Path(args.output).with_suffix(".cg"))
-    if is_cyclic_triangle_free(cg):
-        if not is_cyclic_triangle_free(out) or len(out.graph.edges) < len(cg.graph.edges):
+    if free_in:
+        if not free_out or len(out.graph.edges) < len(cg.graph.edges):
             return 1
         if not facts.all_pass:
             return 1

@@ -270,21 +270,24 @@ def build_b(n1: int, n2: int) -> ThreeGraph:
     return ThreeGraph(n1 + n2, sorted(edges), _normalized=True)
 
 
-def c_l2_closed(c: Composition3) -> Fraction:
-    """Closed-form l2 norm of the cyclic construction, exact in rationals.
+def c_l2_doubled(c: Composition3) -> int:
+    """Twice the closed-form l2 norm of the cyclic construction, an integer.
 
-    Cyclic sum of three terms, quartic through quadratic in the part sizes,
-    sharing denominator 2.  Equals l2_norm(build_c(c)) for every composition.
+    Cyclic sum of three terms, quartic through quadratic in the part sizes.
     """
     ns = c.sizes
-    half_total = 0
-    quad_total = 0
+    total = 0
     for i in range(3):
         a, b, d = ns[i], ns[(i + 1) % 3], ns[(i + 2) % 3]
-        half_total += a * b * (2 * (a + d) ** 2 + a * b)
-        half_total -= a * b * (4 * a + b + 4 * d)
-        quad_total += a * b
-    return Fraction(half_total, 2) + quad_total
+        total += a * b * (2 * (a + d) ** 2 + a * b - 4 * a - b - 4 * d + 2)
+    return total
+
+
+def c_l2_closed(c: Composition3) -> Fraction:
+    """Closed-form l2 norm of the cyclic construction, exact in rationals:
+    half of :func:`c_l2_doubled`.  Equals l2_norm(build_c(c)) for every
+    composition."""
+    return Fraction(c_l2_doubled(c), 2)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,10 @@ Every box endpoint is a dyadic rational, so that enclosure is evaluated on
 integers at a common scale, and only its lower end, the one bound a box
 decision reads: that lower end equals the rational interval enclosure's
 lower end on the same operation tree times a positive constant, and so
-decides every box exactly as rational interval arithmetic would.
+decides every box exactly as rational interval arithmetic would.  Each
+interval product is picked by the signs of its factors' ends (the standard
+sign-case table), which gives the same two ends as the minimum and maximum
+of the four end products, so no box decision depends on that choice.
 
 The grid sweep is evidence at grid points; the box certificate covers the
 whole simplex.  Both are exact: no floating point is involved anywhere.
@@ -131,20 +134,39 @@ def verify_simplex_inequality(d: int) -> GridReport:
 # end is the rational one times a positive constant and has the same sign.
 
 
+def _times(al, ah, bl, bh):
+    """The interval product [al, ah] * [bl, bh] as (lo, hi), picked by the
+    signs of the ends: the same ends as min and max of the four products."""
+    if al >= 0:
+        if bl >= 0:
+            return al * bl, ah * bh
+        if bh <= 0:
+            return ah * bl, al * bh
+        return ah * bl, ah * bh
+    if ah <= 0:
+        if bl >= 0:
+            return al * bh, ah * bl
+        if bh <= 0:
+            return ah * bh, al * bl
+        return al * bh, al * bl
+    if bl >= 0:
+        return al * bh, ah * bh
+    if bh <= 0:
+        return ah * bl, al * bl
+    return min(al * bh, ah * bl), max(al * bl, ah * bh)
+
+
 def _margin_centered_lower(l1, h1, l2, h2, l3, h3, third: int) -> int:
     """Lower end of the recentered enclosure 44 T q - 75 (p + D), at scale
     300 T^3, with u_i = x_i - third, q = sum_i u_i^2, p = (u1 u2) u3 and
     D = -((u1 - u2)(u2 - u3))(u3 - u1)."""
     t = 3 * third
     # u_i - u_j = x_i - x_j, so -D needs no recentering; take its lower end
-    d1l, d1h, d2l, d2h, d3l, d3h = l1 - h2, h1 - l2, l2 - h3, h2 - l3, l3 - h1, h3 - l1
-    a, b, c, d = d1l * d2l, d1l * d2h, d1h * d2l, d1h * d2h
-    lo, hi = min(a, b, c, d), max(a, b, c, d)
-    minus_d = min(lo * d3l, lo * d3h, hi * d3l, hi * d3h)
+    lo, hi = _times(l1 - h2, h1 - l2, l2 - h3, h2 - l3)
+    minus_d = _times(lo, hi, l3 - h1, h3 - l1)[0]
     l1, h1, l2, h2, l3, h3 = l1 - third, h1 - third, l2 - third, h2 - third, l3 - third, h3 - third
-    a, b, c, d = l1 * l2, l1 * h2, h1 * l2, h1 * h2
-    lo, hi = min(a, b, c, d), max(a, b, c, d)
-    p = max(lo * l3, lo * h3, hi * l3, hi * h3)
+    lo, hi = _times(l1, h1, l2, h2)
+    p = _times(lo, hi, l3, h3)[1]
     q = (
         (l1 * l1 if l1 > 0 else h1 * h1 if h1 < 0 else 0)
         + (l2 * l2 if l2 > 0 else h2 * h2 if h2 < 0 else 0)
@@ -215,11 +237,12 @@ def certify_simplex_inequality(min_width: Fraction = Fraction(1, 10**6)) -> Cert
             continue
         x3_lo = max(0, one - b1 - b2)
         x3_hi = one - a1 - a2
-        # center lemma: entire box within sup-distance 2/25 of the barycenter
+        # center lemma: entire box within sup-distance 2/25 of the barycenter,
+        # read off its lowest and highest ends (x3_lo <= x3_hi past the skip)
         limit = radius_num * one
-        if all(
-            radius_den * abs(3 * v - one) <= limit
-            for v in (a1, b1, a2, b2, x3_lo, x3_hi)
+        if (
+            radius_den * (one - 3 * min(a1, a2, x3_lo)) <= limit
+            and radius_den * (3 * max(b1, b2, x3_hi) - one) <= limit
         ):
             certified_center += 1
             continue

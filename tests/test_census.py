@@ -16,7 +16,7 @@ from turanl2.census import (
     census_k43,
     census_tripartite_triangle_free,
 )
-from turanl2.constructions import Composition3, build_c
+from turanl2.constructions import Composition3, build_c, compositions_of
 from turanl2.errors import SizeLimitExceeded, VertexOutOfRange
 from turanl2.hypergraph import (
     ThreeGraph,
@@ -335,10 +335,12 @@ class TestTripartiteCensus:
 
 
 def test_best_construction_value_tracks_sweep():
-    for n in (4, 5, 6, 7, 9):
+    for n in range(13):
         value, comp = best_construction_value(n)
-        h, _ = build_c(comp)
-        assert l2_norm(h) == value
+        counted = [l2_norm(build_c(c)[0]) for c in compositions_of(n)]
+        assert value == max(counted) == l2_norm(build_c(comp)[0])
+        # ties go to the first composition that reaches the maximum
+        assert comp == compositions_of(n)[counted.index(value)]
         assert comp.near_balanced() or n < 6
 
 

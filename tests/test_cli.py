@@ -113,13 +113,34 @@ def test_mantel_subcommand(capsys):
     assert payload["optimum"] == 9 and payload["extra"]["edge_bound_holds"] is True
 
 
-def test_symmetrize_subcommand(tmp_path, capsys):
+def test_symmetrize_subcommand(tmp_path, capsys, monkeypatch):
+    scans = []
+    scan = cli.is_cyclic_triangle_free
+
+    def counted(cg):
+        scans.append(cg)
+        return scan(cg)
+
+    monkeypatch.setattr(cli, "is_cyclic_triangle_free", counted)
     path = tmp_path / "lam.cg"
     path.write_text(write_cg(build_lambda(2, 2, 2)))
     code, out, _ = run(["symmetrize", "--input", str(path)], capsys)
-    assert code == 0
+    assert code == 0 and len(scans) == 2  # the input and the output, once each
     payload = json.loads(out)
     assert payload["merge_steps"] == 0 and payload["facts"]["all_pass"] is True
+    assert payload["cyclic_triangle_free_in"] is payload["cyclic_triangle_free_out"] is True
+
+    # a cyclic triangle: reported, not a failed fact, and still written out
+    scans.clear()
+    path = tmp_path / "tri.cg"
+    path.write_text("3\n123\n3\n0 1\n0 2\n1 2\n")
+    stem = tmp_path / "out"
+    code, out, _ = run(["symmetrize", "--input", str(path), "--json", "--output", str(stem)], capsys)
+    assert code == 0 and len(scans) == 2
+    assert stem.with_suffix(".json").read_text() == out
+    payload = json.loads(out)
+    assert payload["cyclic_triangle_free_in"] is payload["cyclic_triangle_free_out"] is False
+    assert stem.with_suffix(".cg").read_text() == path.read_text()
 
 
 def test_ineq_subcommand(capsys):

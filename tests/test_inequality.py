@@ -20,6 +20,7 @@ from turanl2.inequality import (
     CENTER_RADIUS,
     THIRD,
     _margin_centered_lower,
+    _times,
     center_lemma_floor,
     certify_simplex_inequality,
     duplicate_vertex,
@@ -98,10 +99,28 @@ def test_grid_report_matches_fraction_oracle(d):
 
 
 @pytest.mark.parametrize(
-    "width", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 1024), Fraction(1, 10**6)]
+    "width",
+    [
+        Fraction(1, 2),
+        Fraction(1, 3),
+        Fraction(1, 7),
+        Fraction(1, 1024),
+        Fraction(1, 10**6),
+        Fraction(1, 2**40),
+    ],
 )
 def test_certificate_matches_fraction_oracle(width):
     assert certify_simplex_inequality(width) == oracle_certify_simplex_inequality(width)
+
+
+def test_sign_case_product_is_min_and_max_of_the_four_products():
+    # every integer interval with ends in [-6, 6]: each sign case and zero end
+    intervals = [(lo, hi) for lo in range(-6, 7) for hi in range(lo, 7)]
+    assert len(intervals) == 91
+    for al, ah in intervals:
+        for bl, bh in intervals:
+            products = (al * bl, al * bh, ah * bl, ah * bh)
+            assert _times(al, ah, bl, bh) == (min(products), max(products))
 
 
 def test_coarse_certificate_reports_undecided_boxes():

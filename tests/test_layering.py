@@ -7,7 +7,8 @@ with its two checklist coefficients.  ``formats`` is not in the core: its
 ``.cg`` reader builds a ``ColoredGraph``.  Block permutations are enumerated
 in one routine, sorted edge lists are merged with their edits in one
 routine, colored neighbourhoods are rewritten in one routine, the colored
-Mantel edge bound is written once, and the
+Mantel edge bound and the construction's closed-form l2 polynomial are
+written once, and the
 construction's closed-form codegree table is handed only to the memo.  The
 K4^3 census's branch and bound canonicalizes no node and builds no graph,
 and the census no longer reaches for ``completes_k43``; one runtime check
@@ -120,6 +121,20 @@ def test_mantel_edge_bound_is_written_once():
             if isinstance(node, ast.Assign) and "5 * n * n" in ast.unparse(node.value):
                 homes.append(path.stem)
     assert homes == ["census"], homes
+
+
+def test_closed_form_l2_has_one_home():
+    homes = [
+        (path.stem, name)
+        for path in SRC.glob("*.py")
+        for name, node in _functions(path.stem).items()
+        if "(a + d) ** 2" in ast.unparse(node)
+    ]
+    assert homes == [("constructions", "c_l2_doubled")], homes
+    assert _calls_named(_functions("constructions")["c_l2_closed"], "c_l2_doubled") == 1
+    reference = _functions("census")["best_construction_value"]
+    assert _calls_named(reference, "c_l2_doubled") == 1
+    assert _calls_named(reference, "c_l2_closed") == 0
 
 
 def _calls_named(node, name: str) -> int:
