@@ -337,10 +337,11 @@ class TestTripartiteCensus:
 def test_best_construction_value_tracks_sweep():
     for n in range(13):
         value, comp = best_construction_value(n)
-        counted = [l2_norm(build_c(c)[0]) for c in compositions_of(n)]
+        comps = compositions_of(n)
+        counted = [l2_norm(build_c(c)[0]) for c in comps]
         assert value == max(counted) == l2_norm(build_c(comp)[0])
         # ties go to the first composition that reaches the maximum
-        assert comp == compositions_of(n)[counted.index(value)]
+        assert comp == comps[counted.index(value)]
         assert comp.near_balanced() or n < 6
 
 
