@@ -412,3 +412,26 @@ def test_k43_census_content_is_pinned(n):
     content = census_k43(n).to_json_dict()
     del content["nodes_explored"], content["extra"]
     assert hashlib.sha256(dump_json(content).encode()).hexdigest() == K43_CONTENT_DIGESTS[n]
+
+
+# sha256 of the Mantel exhaustive and tripartite reports without
+# ``nodes_explored``: what the census found, whatever engine found it.
+CONTENT_DIGESTS = {
+    ("edges", "exhaustive", 0): "d3c91bbb9acb666e31e1ad63176fd0a57ea5a5d43400295be20a771271ef40b2",
+    ("edges", "exhaustive", 1): "9fed26ea191506f77e1e44785aeb0497e749d93cfcfed810a61c0297f1de8870",
+    ("edges", "exhaustive", 2): "292bd9ff6de92b2a8700daee988300e399d4bc35f80a05ed979fc69979efeb91",
+    ("l2", "exhaustive", 0): "9cef81b2b3b06def3fd7a787ee347c01ba7000d02cf32ef7dae376cafd1174df",
+    ("l2", "exhaustive", 1): "29d1c6bf0e5b1b998155e843262e62d5fd716f78e18a2cc2955af4e4e5c2b858",
+    ("l2", "exhaustive", 2): "e6cf4641bd8e0381622201d2f55361478f8c775a67379fed15167dc5548c0072",
+    ("tripartite", None, 0): "1af121cbdf3e68c1ccdb1d9b410587bf232365f1362414da71f6cfa07b5ade84",
+    ("tripartite", None, 1): "671cc79a1ac7a5beb2790d0d0ec0a7edab41d72273e3a1094720b5081e8f7ed2",
+    ("tripartite", None, 2): "cf868ba2606510117aebed0a0cddb558076af910856a555724de52fe82234a8f",
+    ("tripartite", None, 3): "41810dac1f18b41d43a18a6ac865d8a7733e88e972dc67c64a031d16a6d05267",
+}
+
+
+@pytest.mark.parametrize("key", sorted(CONTENT_DIGESTS, key=str), ids=str)
+def test_report_content_is_pinned(key):
+    content = _report(*key).to_json_dict()
+    del content["nodes_explored"]
+    assert hashlib.sha256(dump_json(content).encode()).hexdigest() == CONTENT_DIGESTS[key]
