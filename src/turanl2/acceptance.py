@@ -354,9 +354,8 @@ def criterion_12_tripartite(n_max: int = 2) -> CriterionResult:
     details = []
     for n in range(1, n_max + 1):
         rep = census_mod.census_tripartite_triangle_free(n)
-        # independent engine: decomposition vs the exhaustive scan the
-        # census uses at this size
-        alt_opt, _, _ = census_mod._tripartite_decompose(n)
+        # independent engine: the full scan against the census's cover search
+        alt_opt, _, _ = census_mod._free_subsets(*census_mod._tripartite_ground(n), len)
         if rep.optimum != alt_opt:
             return _result(12, "tripartite-oracle", False, f"engines disagree at n={n}", t0)
         if not rep.extra["within_slack_bound"]:

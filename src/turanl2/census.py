@@ -1,17 +1,21 @@
 """Exhaustive, isomorph-free extremal searches at desk scale.
 
-Three engines: the tetrahedron-free l2 maximum over 3-graphs (a branch and
-bound over the minimal covers of the tetrahedra, plus a naive full scan for
-cross-validation at tiny n), the colored Mantel maximum over cyclically
-triangle-free colored graphs (a full scan, plus a symmetrization-assisted
-structure search), and the tripartite triangle-free edge maximum.
+Three censuses: the tetrahedron-free l2 maximum over 3-graphs, the colored
+Mantel maximum (edges or degree squares) over cyclically triangle-free
+colored graphs, and the tripartite triangle-free edge maximum.  The colored
+Mantel census also has a symmetrization-assisted structure search above the
+exhaustive range.
 
 Every search walks the subsets of a ground list as bitmasks against a list
 of forbidden masks: the four triples of a 4-set, a cyclic triangle, a
-transversal triangle.  Every full scan is one call of :func:`_free_subsets`;
-the K4^3 census's branch and bound is :func:`_max_free_subsets`.  Only one
-maximizer per isomorphism class is canonicalized.  Colored graphs are
-compared up to color-preserving relabeling by
+transversal triangle.  Every census searches by covers, with
+:func:`_max_free_subsets`, floored at its reference construction's value;
+the full scan :func:`_free_subsets` is kept as the cross-check (the naive
+K4^3 method and acceptance criterion 12).  Degree and codegree squares are
+counted by :func:`_square_sum`.  The classes are closed by orbit counts in
+:func:`_classes`: one maximizer per isomorphism class is canonicalized, and
+the orbits found must add up to the labelled maximizers.  Colored graphs
+are compared up to color-preserving relabeling by
 :func:`hypergraph.least_relabeling`.
 
 Census outcomes at these sizes are data: reference constructions are
@@ -38,7 +42,6 @@ from .constructions import (
 )
 from .errors import InvalidArgument, SizeLimitExceeded, VertexOutOfRange
 from .hypergraph import (
-    Graph,
     ThreeGraph,
     all_triples,
     canonical_blocks,
@@ -106,16 +109,17 @@ def census_k43(n: int, method: str = "canonical") -> CensusReport:
 
     canonical: :func:`_max_free_subsets`, a branch and bound over the minimal
     covers of the tetrahedra, with the reference construction's value as its
-    floor and l2 counted from per-pair triple masks.  l2 strictly rises when
-    a triple is added, so every maximizer is a maximal tetrahedron-free set
-    and the search reaches each labelled maximizer once.
+    floor and l2 counted by :func:`_square_sum` over per-pair triple masks.
+    l2 strictly rises when a triple is added, so every maximizer is a
+    maximal tetrahedron-free set and the search reaches each labelled
+    maximizer once.
 
     naive: scan all tetrahedron-free triple subsets and count l2 on a
     ``ThreeGraph`` (for cross-validation; n <= 5).
 
-    One maximizer per isomorphism class is canonicalized, the classes closed
-    by automorphism counts.  When the reference construction attains the
-    optimum, the report asserts that its class was found.
+    :func:`_classes` closes the classes under the n! relabelings.  When the
+    reference construction attains the optimum, the report asserts that its
+    class was found.
     """
     if method not in ("canonical", "naive"):
         raise InvalidArgument(f"unknown method {method!r}")
@@ -138,27 +142,15 @@ def census_k43(n: int, method: str = "canonical") -> CensusReport:
     else:
         pairs = itertools.combinations(range(n), 2)
         codegree = _subset_masks(triples, ([t for t in triples if {a, b} <= set(t)] for a, b in pairs))
+        best, argmax, nodes = _max_free_subsets(triples, tetrahedra, _square_sum(codegree), ref_value)
 
-        def l2_of_mask(mask: int) -> int:
-            total = 0
-            for c in codegree:
-                d = (mask & c).bit_count()
-                total += d * d
-            return total
+    def canonical(edges):
+        form, _, automorphisms = least_relabeling(
+            n, edges, canonical_blocks(ThreeGraph(n, edges, _normalized=True))
+        )
+        return form, automorphisms
 
-        best, argmax, nodes = _max_free_subsets(triples, tetrahedra, l2_of_mask, ref_value)
-    # argmax holds every labelled maximizer, a set closed under relabeling, so
-    # it is covered once the orbits found, n!/|Aut| graphs each, sum to its size
-    forms, covered = set(), 0
-    for edges in argmax:
-        if covered >= len(argmax):
-            break
-        g = ThreeGraph(n, edges, _normalized=True)
-        form, _, automorphisms = least_relabeling(n, g.edges, canonical_blocks(g))
-        if form not in forms:
-            forms.add(form)
-            covered += math.factorial(n) // automorphisms
-    assert covered == len(argmax), f"{len(argmax)} labelled maximizers, orbits cover {covered}"
+    forms = _classes(argmax, canonical, math.factorial(n))
     attains = ref_value == best
     if attains:
         assert canonical_form(build_c(ref_comp)[0])[0] in forms
@@ -179,7 +171,8 @@ def census_k43(n: int, method: str = "canonical") -> CensusReport:
 
 
 # ---------------------------------------------------------------------------
-# the labelled subset scan shared by the full scans
+# the subset searches, the square count and the class closing shared by the
+# censuses
 
 
 def _subset_masks(ground: Sequence, groups: Iterable[Iterable]) -> list[int]:
@@ -261,27 +254,72 @@ def _max_free_subsets(
     return best, [[x for i, x in enumerate(ground) if m >> i & 1] for m in argmax], nodes
 
 
+def _square_sum(groups: Sequence[int]) -> Callable[[int], int]:
+    """The value that sums, over the group masks, the squared number of a
+    subset's elements in each group: codegree squares over per-pair triple
+    masks, degree squares over per-vertex pair masks."""
+
+    def square_sum(mask: int) -> int:
+        total = 0
+        for g in groups:
+            d = (mask & g).bit_count()
+            total += d * d
+        return total
+
+    return square_sum
+
+
+def _classes(argmax: list, canonical: Callable, group_order: int) -> set:
+    """The classes of the labelled maximizers ``argmax`` under a symmetry
+    group of the search, of order ``group_order``.
+
+    ``canonical(edges)`` returns the class's form and its tie count, the
+    order of the stabilizer of ``edges`` in the group.  ``argmax`` holds every
+    labelled maximizer, a set closed under the group, so it is covered once
+    the orbits found, group_order/ties graphs each, sum to its size; only one
+    maximizer per class is canonicalized.  A maximizer the search dropped
+    breaks that sum unless its whole orbit was dropped, so the group should
+    fix no maximizer.
+    """
+    forms, covered = set(), 0
+    for edges in argmax:
+        if covered >= len(argmax):
+            break
+        form, ties = canonical(edges)
+        if form not in forms:
+            forms.add(form)
+            covered += group_order // ties
+    assert covered == len(argmax), f"{len(argmax)} labelled maximizers, orbits cover {covered}"
+    return forms
+
+
 def _three_parts(n: int) -> list[list[int]]:
     """The three parts of size n: 0..n-1, n..2n-1 and 2n..3n-1."""
     return [list(range(i * n, (i + 1) * n)) for i in range(3)]
 
 
+# part p to part map[p], the three rotations first: rotating the parts keeps
+# the cyclic triangles, and every permutation keeps the transversal ones
+PART_PERMUTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2))
+ROTATIONS = PART_PERMUTATIONS[:3]
+
+
+def _colored_canonical(edges: Sequence[tuple[int, int]], n: int, maps: Sequence[tuple]) -> tuple:
+    """The class of a pair list on three parts of size n under the part
+    ``maps`` and the color-preserving relabelings, and its tie count.  The
+    class is the sorted tuple of the color-preserving forms of the list's
+    images; the ties are the form's own ties once per image sharing it."""
+    parts = _three_parts(n)
+    images = []
+    for m in maps:
+        moved = [(m[a // n] * n + a % n, m[b // n] * n + b % n) for a, b in edges]
+        images.append(least_relabeling(3 * n, moved, parts))
+    form, _, ties = images[0]
+    return tuple(sorted({f for f, _, _ in images})), ties * sum(f == form for f, _, _ in images)
+
+
 # ---------------------------------------------------------------------------
 # colored Mantel census
-
-
-def _colored_canonical(edges: Sequence[tuple[int, int]], n: int, rotate: bool) -> tuple:
-    """Canonical pair list under color-preserving relabelings of parts of size
-    n; with ``rotate`` also minimized over the three cyclic rotations of the
-    part pattern."""
-    parts = _three_parts(n)
-    shifts = (0, n, 2 * n) if rotate else (0,)
-    return min(
-        least_relabeling(
-            3 * n, [((a + s) % (3 * n), (b + s) % (3 * n)) for a, b in edges], parts
-        )[0]
-        for s in shifts
-    )
 
 
 def census_colored_mantel(
@@ -293,12 +331,15 @@ def census_colored_mantel(
     """Maximum edges or degree-square sum over cyclically triangle-free
     colored graphs with all three parts of size n.
 
-    exhaustive (3n <= 8): full bitmask scan.  assisted: exact optimization
-    over locally symmetrized blow-up structures with at most ``class_cap`` >= 3
-    classes (plus the three rotations of the reference's class profile, so
-    the reference is always inside the search space).  The symmetrization
-    reduction is proved for the edge objective; for the degree-square
-    objective the assisted optimum is reported as a lower bound only.
+    exhaustive (3n <= 8): :func:`_max_free_subsets` over the cyclic-triangle
+    masks, floored at Lambda(n, n, n); :func:`_classes` closes the classes
+    under the color-preserving relabelings and the rotations of the parts.
+    assisted: exact optimization over locally symmetrized blow-up
+    structures with at most ``class_cap`` >= 3 classes (plus the three
+    rotations of the reference's class profile, so the reference is always
+    inside the search space).  The symmetrization reduction is proved for
+    the edge objective; for the degree-square objective the assisted optimum
+    is reported as a lower bound only.
     """
     if objective not in ("edges", "l2"):
         raise InvalidArgument("objective must be 'edges' or 'l2'")
@@ -324,23 +365,28 @@ def _mantel_exhaustive(n: int, objective: str) -> CensusReport:
     big_n = 3 * n
     pairs = list(itertools.combinations(range(big_n), 2))
     color = [1] * n + [2] * n + [3] * n
-    cyclic = _subset_masks(
-        pairs, (itertools.combinations(t, 2) for t in cyclic_triples(color))
-    )
+    cyclic = _subset_masks(pairs, (itertools.combinations(t, 2) for t in cyclic_triples(color)))
     if objective == "edges":
-        value = len
+        value = int.bit_count
     else:
-        def value(edges):
-            return graph_l2_norm(Graph(big_n, edges, _normalized=True))
-    best, argmax, nodes = _free_subsets(pairs, cyclic, value)
-    forms = {_colored_canonical(edges, n, rotate=False) for edges in argmax}
-    rotated = {_colored_canonical(edges, n, rotate=True) for edges in argmax}
+        degree = _subset_masks(pairs, ([p for p in pairs if v in p] for v in range(big_n)))
+        value = _square_sum(degree)
+    best, argmax, nodes = _max_free_subsets(pairs, cyclic, value, _lambda_value(n, objective))
+    order = len(ROTATIONS) * math.factorial(n) ** 3
+    rotated = _classes(argmax, lambda edges: _colored_canonical(edges, n, ROTATIONS), order)
+    forms = set().union(*rotated)
     extra = {
         "labeled_maximizers": len(argmax),
         "iso_classes_rotation_quotient": len(rotated),
         "method": "exhaustive",
     }
     return _mantel_report(n, objective, best, forms, nodes, t0, extra)
+
+
+def _lambda_value(n: int, objective: str) -> int:
+    """Edges or degree-square sum of Lambda(n, n, n), the Mantel reference."""
+    lam = build_lambda(n, n, n).graph
+    return len(lam.edges) if objective == "edges" else graph_l2_norm(lam)
 
 
 def _mantel_report(
@@ -350,8 +396,7 @@ def _mantel_report(
 
     For the edge objective ``extra`` also gets the edge bound 5n^2/2 + 5n
     and whether the optimum stays within it."""
-    lam = build_lambda(n, n, n).graph
-    reference = len(lam.edges) if objective == "edges" else graph_l2_norm(lam)
+    reference = _lambda_value(n, objective)
     if objective == "edges":
         edge_bound = Fraction(5 * n * n, 2) + 5 * n
         extra["edge_bound"] = edge_bound
@@ -471,63 +516,51 @@ def _blowup_value(objective, n, sizes, phis) -> int:
 # tripartite triangle-free census
 
 
-def _split_form_edges(n: int, i: int, subset: frozenset[int]) -> frozenset:
-    """Cross-part edges of the split template: one side is the subset of part
-    i together with part i+1, the other side is the rest of part i together
-    with part i+2."""
+def _split_forms(n: int) -> set[frozenset]:
+    """Edge sets of the split template: for each part and each subset of it,
+    every cross pair between the subset together with the next part and the
+    rest of the part together with the part after."""
     parts = [set(p) for p in _three_parts(n)]
-    pi = parts[i - 1]
-    side_a = set(subset) | parts[i % 3]
-    side_b = (pi - set(subset)) | parts[(i + 1) % 3]
-    edges = set()
-    for u in side_a:
-        for v in side_b:
-            if {u, v} <= pi:
-                continue  # not a legal pair of the tripartite graph
-            edges.add(tuple(sorted((u, v))))
-    return frozenset(edges)
-
-
-def _matches_split_form(n: int, edges: frozenset) -> Optional[tuple[int, tuple]]:
-    for i, base in enumerate(_three_parts(n), 1):
+    forms = set()
+    for i, part in enumerate(parts):
         for r in range(n + 1):
-            for subset in itertools.combinations(base, r):
-                if _split_form_edges(n, i, frozenset(subset)) == edges:
-                    return i, subset
-    return None
+            for subset in map(set, itertools.combinations(part, r)):
+                side_a, side_b = subset | parts[i - 2], part - subset | parts[i - 1]
+                pairs = ((min(u, v), max(u, v)) for u in side_a for v in side_b)
+                forms.add(frozenset((a, b) for a, b in pairs if a // n != b // n))
+    return forms
+
+
+def _tripartite_ground(n: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The cross pairs of three parts of size n, and the mask of each
+    transversal triangle's three pairs."""
+    cross = [(a, b) for a, b in itertools.combinations(range(3 * n), 2) if a // n != b // n]
+    transversal = _subset_masks(
+        cross, (itertools.combinations(t, 2) for t in itertools.product(*_three_parts(n)))
+    )
+    return cross, transversal
 
 
 def census_tripartite_triangle_free(n: int) -> CensusReport:
     """Maximum edges of a triangle-free tripartite graph with parts of size n.
 
-    Part sizes 1 and 2 scan all subgraphs; part size 3 uses an exact
-    decomposition: fix the bipartite graph between the first two parts, then
-    every third-part vertex independently attaches to a maximum independent
-    set of it.  All maximizers are checked against the split-bipartite
-    template; a failure to match is emitted as a witness.
+    :func:`_max_free_subsets` over the transversal-triangle masks, floored at
+    the split template's 2n^2 edges; :func:`_classes` closes the classes under
+    the relabelings inside the parts and the permutations of the parts.  All
+    maximizers are checked against the split-bipartite template; a failure
+    to match is emitted as a witness.
     """
     if n > TRIPARTITE_CAP:
         raise SizeLimitExceeded(f"tripartite census capped at part size {TRIPARTITE_CAP}")
     if n < 0:
         raise VertexOutOfRange("vertex count must be nonnegative")
     t0 = time.monotonic()
-    parts = _three_parts(n)
-    if n <= 2:
-        cross = [
-            (a, b) for a, b in itertools.combinations(range(3 * n), 2) if a // n != b // n
-        ]
-        transversal = _subset_masks(
-            cross, (itertools.combinations(t, 2) for t in itertools.product(*parts))
-        )
-        optimum, subsets, nodes = _free_subsets(cross, transversal, len)
-        maximizers = [frozenset(edges) for edges in subsets]
-    else:
-        optimum, maximizers, nodes = _tripartite_decompose(n)
-    mismatches = []
-    for edges in maximizers:
-        if _matches_split_form(n, edges) is None:
-            mismatches.append(sorted(edges))
-    forms = {least_relabeling(3 * n, edges, parts)[0] for edges in maximizers}
+    optimum, argmax, nodes = _max_free_subsets(*_tripartite_ground(n), int.bit_count, 2 * n * n)
+    split = _split_forms(n)
+    mismatches = [edges for edges in argmax if frozenset(edges) not in split]
+    order = len(PART_PERMUTATIONS) * math.factorial(n) ** 3
+    classes = _classes(argmax, lambda edges: _colored_canonical(edges, n, PART_PERMUTATIONS), order)
+    forms = set().union(*classes)
     slack_bound = 2 * n * n + n
     return CensusReport(
         n=n,
@@ -542,43 +575,10 @@ def census_tripartite_triangle_free(n: int) -> CensusReport:
         nodes_explored=nodes,
         wall_time=time.monotonic() - t0,
         extra={
-            "labeled_maximizers": len(maximizers),
+            "labeled_maximizers": len(argmax),
             "all_match_split_form": not mismatches,
             "mismatch_witnesses": mismatches[:3],
             "within_slack_bound": optimum <= slack_bound,
             "slack_bound": slack_bound,
         },
     )
-
-
-def _maximum_independent_sets(ground: list[int], edges) -> list[tuple[int, ...]]:
-    """Every independent set of largest size of the graph ``edges`` on ``ground``."""
-    for r in range(len(ground), -1, -1):  # r = 0 finds the empty set
-        found = [
-            cand
-            for cand in itertools.combinations(ground, r)
-            if not any(a in cand and b in cand for a, b in edges)
-        ]
-        if found:
-            return found
-
-
-def _tripartite_decompose(n: int) -> tuple[int, list[frozenset], int]:
-    """Exact maximum for any part size: scan the bipartite graphs between the
-    first two parts; each third-part vertex then independently attaches to a
-    maximum independent set of the chosen graph."""
-    parts = _three_parts(n)
-    ground = parts[0] + parts[1]
-    best, argmax, nodes = _free_subsets(
-        list(itertools.product(parts[0], parts[1])),
-        [],
-        lambda g12: len(g12) + n * len(_maximum_independent_sets(ground, g12)[0]),
-    )
-    maximizers = []
-    for g12 in argmax:
-        for choice in itertools.product(_maximum_independent_sets(ground, g12), repeat=n):
-            edges = set(g12)
-            for w, nbhd in zip(parts[2], choice):
-                edges.update((u, w) for u in nbhd)
-            maximizers.append(frozenset(edges))
-    return best, maximizers, nodes

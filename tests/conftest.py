@@ -4,9 +4,11 @@ The oracles here deliberately avoid the library's optimized paths: norms and
 codegree tables are recounted from raw pair iteration, canonical forms are minimized over every
 permutation, the K4^3 census's classes come from canonicalizing every labelled
 maximizer, subgraph searches enumerate vertex subsets directly, the
-cyclic construction is recounted from the part counts of every triple, the
-simplex certificate and grid sweep are rerun in Fraction arithmetic, and the
-two toggle checklists are written out separately, one body per phase.
+tripartite census's maximizers come from a decomposition over the bipartite
+graphs between two parts, the cyclic construction is recounted from the
+part counts of every triple, the simplex certificate and grid sweep are
+rerun in Fraction arithmetic, and the two toggle checklists are written out
+separately, one body per phase.
 """
 
 import itertools
@@ -69,6 +71,42 @@ def oracle_census_classes(n: int, maximizers) -> set:
     """The K4^3 census's classes the direct way: the canonical form of every
     labelled maximizer, with no orbit counting."""
     return {canonical_form(ThreeGraph(n, edges, _normalized=True))[0] for edges in maximizers}
+
+
+def _maximum_independent_sets(ground: list[int], edges) -> list[tuple[int, ...]]:
+    """Every independent set of largest size of the graph ``edges`` on ``ground``."""
+    for r in range(len(ground), -1, -1):  # r = 0 finds the empty set
+        found = [
+            cand
+            for cand in itertools.combinations(ground, r)
+            if not any(a in cand and b in cand for a, b in edges)
+        ]
+        if found:
+            return found
+
+
+def oracle_tripartite_decompose(n: int) -> tuple[int, set[frozenset]]:
+    """The largest triangle-free tripartite graphs with parts of size n, and
+    their edge count, by decomposition: every bipartite graph between the
+    first two parts is scanned, and each third-part vertex then independently
+    attaches to a maximum independent set of it."""
+    parts = [list(range(i * n, (i + 1) * n)) for i in range(3)]
+    ground = parts[0] + parts[1]
+    pairs = list(itertools.product(parts[0], parts[1]))
+    best, maximizers = -1, set()
+    for r in range(len(pairs) + 1):
+        for g12 in itertools.combinations(pairs, r):
+            independent = _maximum_independent_sets(ground, g12)
+            value = len(g12) + n * len(independent[0])
+            if value > best:
+                best, maximizers = value, set()
+            if value == best:
+                for choice in itertools.product(independent, repeat=n):
+                    edges = set(g12)
+                    for w, nbhd in zip(parts[2], choice):
+                        edges.update((u, w) for u in nbhd)
+                    maximizers.add(frozenset(edges))
+    return best, maximizers
 
 
 def oracle_contains_complete(h: ThreeGraph, k: int) -> bool:

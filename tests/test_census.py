@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_census_classes, random_graph
+from conftest import oracle_census_classes, oracle_tripartite_decompose, random_graph
 from turanl2 import census, hypergraph
 from turanl2.census import (
     _blowup_value,
-    _tripartite_decompose,
     best_construction_value,
     census_colored_mantel,
     census_k43,
     census_tripartite_triangle_free,
 )
-from turanl2.constructions import Composition3, build_c, compositions_of
+from turanl2.colored import ColoredGraph, is_cyclic_triangle_free
+from turanl2.constructions import Composition3, Partition3, build_c, compositions_of
 from turanl2.errors import SizeLimitExceeded, VertexOutOfRange
 from turanl2.hypergraph import (
     ThreeGraph,
@@ -123,19 +123,59 @@ class TestK43Census:
             census_k43(9, method="canonical")
 
 
-@pytest.mark.parametrize("n", range(7))
-def test_classes_match_canonicalizing_every_maximizer(n, monkeypatch):
-    found = []
+COLORED_CENSUSES = [("edges", "exhaustive", 2), ("l2", "exhaustive", 2), ("tripartite", None, 3)]
+
+
+# Every l2 maximizer at part size 2 is alone in its color-preserving class,
+# so these need the classes closed under the part rotations or permutations
+# too: no maximizer is fixed by the whole group, and one dropped always
+# breaks the orbit count.
+@pytest.mark.parametrize("drop", (0, -1))
+@pytest.mark.parametrize("key", COLORED_CENSUSES, ids=str)
+def test_a_dropped_maximizer_fails_loudly_in_the_colored_censuses(key, drop, monkeypatch):
+    search = census._max_free_subsets
+
+    def dropping(*args):
+        best, argmax, nodes = search(*args)
+        del argmax[drop]
+        return best, argmax, nodes
+
+    monkeypatch.setattr(census, "_max_free_subsets", dropping)
+    with pytest.raises(AssertionError):
+        _report(*key)
+
+
+@pytest.mark.parametrize("key", COLORED_CENSUSES, ids=str)
+def test_a_floor_above_the_optimum_fails_loudly_in_the_colored_censuses(key, monkeypatch):
+    search = census._max_free_subsets
+
+    def raised(ground, forbidden, value, floor):
+        return search(ground, forbidden, value, floor + 1)
+
+    monkeypatch.setattr(census, "_max_free_subsets", raised)
+    with pytest.raises(AssertionError):
+        _report(*key)
+
+
+def _recorded(key, monkeypatch):
+    """The report of a census configuration and the (arguments, result) of
+    each call of its cover search."""
+    calls = []
     search = census._max_free_subsets
 
     def recording(*args):
         result = search(*args)
-        found.append(list(result[1]))
+        calls.append((args, result))
         return result
 
     monkeypatch.setattr(census, "_max_free_subsets", recording)
-    report = census_k43(n)
-    forms = oracle_census_classes(n, found[0])
+    return _report(*key), calls
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_classes_match_canonicalizing_every_maximizer(n, monkeypatch):
+    report, [(_, (_, argmax, _))] = _recorded(("k43", "canonical", n), monkeypatch)
+    forms = oracle_census_classes(n, argmax)
     assert report.extremal == tuple(sorted(forms))
     assert report.iso_classes == len(forms)
 
@@ -161,8 +201,8 @@ class _Captured(Exception):
 
 
 @functools.cache
-def _search_input(n: int, method: str) -> tuple[list, list[int]]:
-    """The ground triples and tetrahedron masks census_k43 hands its search."""
+def _search_input(problem: str, mode, n: int) -> tuple[list, list[int]]:
+    """The ground list and forbidden masks a census hands its search."""
     seen = []
 
     def capture(ground, forbidden, *rest):
@@ -170,9 +210,9 @@ def _search_input(n: int, method: str) -> tuple[list, list[int]]:
         raise _Captured
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(census, "_free_subsets" if method == "naive" else "_max_free_subsets", capture)
+        mp.setattr(census, "_free_subsets" if mode == "naive" else "_max_free_subsets", capture)
         with pytest.raises(_Captured):
-            census_k43(n, method)
+            _report(problem, mode, n)
     return seen[0]
 
 
@@ -187,7 +227,7 @@ def _masks_agree_with_contains_k43(n, ground, forbidden, mask):
 def test_tetrahedron_masks_match_contains_k43(n, method):
     # the masks replace completes_k43 in both methods, so check them against
     # the independent edge-set scan on every triple subset
-    ground, forbidden = _search_input(n, method)
+    ground, forbidden = _search_input("k43", method, n)
     assert ground == all_triples(n)
     for mask in range(1 << len(ground)):
         _masks_agree_with_contains_k43(n, ground, forbidden, mask)
@@ -196,9 +236,66 @@ def test_tetrahedron_masks_match_contains_k43(n, method):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([6, 7]), st.data())
 def test_tetrahedron_masks_match_contains_k43_sampled(n, data):
-    ground, forbidden = _search_input(n, "canonical")
+    ground, forbidden = _search_input("k43", "canonical", n)
     chosen = data.draw(st.sets(st.integers(0, len(ground) - 1)))
     _masks_agree_with_contains_k43(n, ground, forbidden, sum(1 << i for i in chosen))
+
+
+def _masks_agree_with_cyclic_scan(n, ground, forbidden, mask):
+    edges = [p for i, p in enumerate(ground) if mask >> i & 1]
+    cg = ColoredGraph(make_pair_graph(3 * n, edges), Partition3.from_sizes(n, n, n))
+    assert all(mask & f != f for f in forbidden) == is_cyclic_triangle_free(cg), edges
+
+
+@pytest.mark.parametrize("objective", ["edges", "l2"])
+def test_cyclic_triangle_masks_match_the_colored_scan(objective):
+    ground, forbidden = _search_input(objective, "exhaustive", 1)
+    assert ground == list(itertools.combinations(range(3), 2))
+    for mask in range(1 << len(ground)):
+        _masks_agree_with_cyclic_scan(1, ground, forbidden, mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["edges", "l2"]), st.data())
+def test_cyclic_triangle_masks_match_the_colored_scan_sampled(objective, data):
+    ground, forbidden = _search_input(objective, "exhaustive", 2)
+    assert ground == list(itertools.combinations(range(6), 2))
+    chosen = data.draw(st.sets(st.integers(0, len(ground) - 1)))
+    _masks_agree_with_cyclic_scan(2, ground, forbidden, sum(1 << i for i in chosen))
+
+
+def _masks_agree_with_triangle_scan(n, ground, forbidden, mask):
+    edges = {p for i, p in enumerate(ground) if mask >> i & 1}
+    triangle = any(
+        {(a, b), (a, c), (b, c)} <= edges
+        for a in range(n)
+        for b in range(n, 2 * n)
+        for c in range(2 * n, 3 * n)
+    )
+    assert all(mask & f != f for f in forbidden) == (not triangle), sorted(edges)
+
+
+def _tripartite_input(n):
+    ground, forbidden = _search_input("tripartite", None, n)
+    # every pair of vertices in different parts, once, in increasing order
+    assert len(ground) == 3 * n * n and ground == sorted(set(ground))
+    assert all(a < b and a // n != b // n for a, b in ground)
+    return ground, forbidden
+
+
+@pytest.mark.parametrize("n", range(3))
+def test_transversal_masks_match_the_triangle_scan(n):
+    ground, forbidden = _tripartite_input(n)
+    for mask in range(1 << len(ground)):
+        _masks_agree_with_triangle_scan(n, ground, forbidden, mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_transversal_masks_match_the_triangle_scan_sampled(data):
+    ground, forbidden = _tripartite_input(3)
+    chosen = data.draw(st.sets(st.integers(0, len(ground) - 1)))
+    _masks_agree_with_triangle_scan(3, ground, forbidden, sum(1 << i for i in chosen))
 
 
 def test_maximality_pruning_soundness(rng):
@@ -291,6 +388,23 @@ class TestColoredMantelCensus:
         assert checked == 240
 
 
+@pytest.mark.parametrize("objective", ["edges", "l2"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_mantel_cover_search_finds_the_scans_maximizers(n, objective, monkeypatch):
+    report, [((pairs, cyclic, _, _), (best, argmax, _))] = _recorded(
+        (objective, "exhaustive", n), monkeypatch
+    )
+    if objective == "edges":
+        value = len
+    else:
+        def value(edges):
+            return graph_l2_norm(make_pair_graph(3 * n, edges))
+    scan_best, scan_argmax, _ = census._free_subsets(pairs, cyclic, value)
+    assert best == scan_best == report.optimum
+    assert sorted(argmax) == sorted(scan_argmax)
+    assert report.extra["labeled_maximizers"] == len(scan_argmax)
+
+
 def _explicit_blowup(n, sizes, phis):
     """The colored blow-up as a graph on 3n vertices, part by part."""
     classes, start = [], 0
@@ -318,12 +432,15 @@ class TestTripartiteCensus:
             assert rep.extra["within_slack_bound"]
             assert rep.extra["all_match_split_form"]
 
-    def test_decomposition_agrees_with_scan(self):
-        for n in (1, 2):
-            rep = census_tripartite_triangle_free(n)
-            alt, maximizers, _ = _tripartite_decompose(n)
-            assert rep.optimum == alt
-            assert rep.extra["labeled_maximizers"] == len(set(maximizers))
+    def test_decomposition_agrees_with_scan(self, monkeypatch):
+        # the oracle decomposes; the census searches by covers
+        for n in (1, 2, 3):
+            monkeypatch.undo()
+            rep, [(_, (best, argmax, _))] = _recorded(("tripartite", None, n), monkeypatch)
+            alt, maximizers = oracle_tripartite_decompose(n)
+            assert rep.optimum == best == alt
+            assert {frozenset(edges) for edges in argmax} == maximizers
+            assert rep.extra["labeled_maximizers"] == len(argmax) == len(maximizers)
 
     def test_cap(self):
         with pytest.raises(SizeLimitExceeded):
@@ -365,17 +482,17 @@ REPORT_DIGESTS = {
     ("k43", "naive", 4): "7483a2b35c5a02d97f15fa4e07ebac3f8f3cb2e0a52566293760a7ed52948c15",
     ("k43", "naive", 5): "49daf67788a9afcfe8a0070450429adf0892dc9a5e46220be91c0e769252e647",
     ("edges", "exhaustive", 0): "2f4c7baa20ff856c982649afe65c1bf4de7d42c7f0321cdecd9b69abeec4c0a2",
-    ("edges", "exhaustive", 1): "e5f0051c49f7c40dabf09274696b2a7460fd833203d45d59f441a3f02b2e9f9b",
-    ("edges", "exhaustive", 2): "c1a376e9e46239a2d386d31029dedd66b63243ece9a7275a960fb6c510be1412",
+    ("edges", "exhaustive", 1): "551d4bf3b404cd4b50dc8828a67e53beb28377de81feb648a86db7de3ef55588",
+    ("edges", "exhaustive", 2): "305145ef75ea83923e55bdb25ba6631a13b9f4e369758cde6b88b6f5c65e584a",
     ("edges", "assisted", 3): "fceda0cce82f61c8880383c0a0025b82ef2158114b782f54a343c196263b842e",
     ("l2", "exhaustive", 0): "25658ae111a3f63747320e3de833e6a31a20e35502ef26e14fa19e7627a5f3ef",
-    ("l2", "exhaustive", 1): "ca9b689c718282e923867f3b038b4522bffd4980e87e1b1a6639acb880594911",
-    ("l2", "exhaustive", 2): "8b5320229fedadac63e52691bf32031cc612dd380f00aa77926282a7794d3419",
+    ("l2", "exhaustive", 1): "b4d6d4d1227b7e676ba5aa6aa74124030951fcda4cc62789869f5a7d64ad9ba4",
+    ("l2", "exhaustive", 2): "0fae45f79449245ee1c3c70a61355c6f045f384abe0c1371a1058de1b6e7f252",
     ("l2", "assisted", 3): "3251b40bfc395ddea9b381e3e3f57efcf26f33f13e08083dca7c5e60f56b6789",
     ("tripartite", None, 0): "a7302ce0df6851782efc5e68b6f7db0f3fa658eff78fcf0e35c4bce5298cbcc0",
-    ("tripartite", None, 1): "9ab7e7927ee16ce548bbbc57cad64362038a26d88a91b6ef856b1590699c2168",
-    ("tripartite", None, 2): "867393f144d2831da1867dc0d09479b9790e34bd74f3b8559a151df9a4c2c05a",
-    ("tripartite", None, 3): "acf1a32e71f17510b579677ee548c2b9044f07a373d5ae418812c42aff33dd1d",
+    ("tripartite", None, 1): "bb9651e4d4e0fbd1c3c3be24460137f20ef37801343c05c0565de0ee43e27e13",
+    ("tripartite", None, 2): "5709fcda7cccb235dd86f2a23acc62e3e48b7c11f5dfe54833b22ed1eebf43ab",
+    ("tripartite", None, 3): "70e31204b350df3a8e92a5831ec276540741b794d7be9c31569fbad7a0c28033",
 }
 
 

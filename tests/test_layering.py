@@ -11,8 +11,11 @@ Mantel edge bound and the construction's closed-form l2 polynomial are
 written once, and the
 construction's closed-form codegree table is handed only to the memo.  The
 K4^3 census's branch and bound canonicalizes no node and builds no graph,
-and the census no longer reaches for ``completes_k43``; one runtime check
-counts the reference sweeps per census.
+and the census no longer reaches for ``completes_k43``.  Every census
+searches by covers and closes its classes in one routine, the full scan is
+called only by the naive K4^3 method and acceptance criterion 12, and
+squares are counted in one routine; one runtime check counts the reference
+sweeps per census.
 """
 
 import ast
@@ -197,6 +200,45 @@ def test_k43_search_canonicalizes_only_the_maximizers():
     assert _calls_named(search, "ThreeGraph") == 0
     for imported, names in _module_level_imports("census"):
         assert "completes_k43" not in names, imported
+
+
+def test_every_census_searches_by_covers_and_closes_classes_in_one_routine():
+    functions = _functions("census")
+    for name in ("census_k43", "_mantel_exhaustive", "census_tripartite_triangle_free"):
+        assert _calls_named(functions[name], "_max_free_subsets") == 1, name
+        assert _calls_named(functions[name], "_classes") == 1, name
+    scanners = {
+        (path.stem, name)
+        for path in SRC.glob("*.py")
+        for name, node in _functions(path.stem).items()
+        if _calls_named(node, "_free_subsets")
+    }
+    assert scanners == {("census", "census_k43"), ("acceptance", "criterion_12_tripartite")}
+    naive = [
+        node
+        for node in ast.walk(functions["census_k43"])
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "method == 'naive'"
+    ]
+    assert [sum(_calls_named(stmt, "_free_subsets") for stmt in node.body) for node in naive] == [1]
+
+
+def _squares_a_name(node) -> bool:
+    return any(
+        isinstance(sub, ast.BinOp)
+        and isinstance(sub.op, ast.Mult)
+        and isinstance(sub.left, ast.Name)
+        and isinstance(sub.right, ast.Name)
+        and sub.left.id == sub.right.id
+        for sub in ast.walk(node)
+    )
+
+
+def test_census_squares_are_counted_in_one_routine():
+    functions = _functions("census")
+    counters = {name for name, node in functions.items() if _calls_named(node, "bit_count")}
+    squarers = {name for name, node in functions.items() if _squares_a_name(node)}
+    # the outer routine and the value it returns
+    assert counters == squarers == {"_square_sum", "square_sum"}
 
 
 def test_k43_census_sweeps_the_reference_once(monkeypatch):
