@@ -6,7 +6,29 @@ deterministic.  Expect several minutes of runtime; the generated-instance
 positivity suite (criterion 7) dominates.
 """
 
+import re
+
 from turanl2 import acceptance
+
+# ``turanl2 check --suite all --quick`` with every seconds figure masked
+QUICK_LINES = [
+    "[PASS] criterion  1 formula-oracle: 1771 compositions agree; <t>s (cap 60s) (<t>s)",
+    "[PASS] criterion  2 identity-suite: 1000 random graphs, zero violations (<t>s)",
+    "[PASS] criterion  3 l2-degree-consistency: 200 random (graph, vertex) pairs (<t>s)",
+    "[PASS] criterion  4 balancedness: n in [6,15]; pinned families exercised: "
+    "{'top-heavy-equal-pair': 3, 'middle-light-high-third': 3, "
+    "'middle-light-mid-third': 4, 'middle-light-low-third': 3} (<t>s)",
+    "[PASS] criterion  5 simplex-inequality: grid d=60 worst=0 zeros=1; "
+    "certificate boxes=181+8 undecided=0; <t>s (cap 300s) (<t>s)",
+    "[PASS] criterion  6 toggle-exactness: 400 random toggles reconciled (<t>s)",
+    "[PASS] criterion  7 toggle-increase: 80 generated instances, 0 non-positive deltas (<t>s)",
+    "[PASS] criterion  8 driver-soundness: perturbed constructions cleaned at n=6,9,12 (<t>s)",
+    "[PASS] criterion  9 symmetrization: 60 random graphs symmetrized (<t>s)",
+    "[PASS] criterion 10 colored-mantel-bound: optimum=9 in [9, 20]; <t>s (cap 10s) (<t>s)",
+    "[PASS] criterion 11 census-cross-validation: n=4: opt=15 classes=1; n=5: opt=47 classes=1; "
+    "n=6: opt=120 reference_attains=True unique=True (recorded as data) (<t>s)",
+    "[PASS] criterion 12 tripartite-oracle: n=1: opt=2 (2n^2=2); n=2: opt=8 (2n^2=8) (<t>s)",
+]
 
 
 def _run(fn, *args, **kwargs):
@@ -65,6 +87,12 @@ def test_quick_check_writes_no_counterexamples(monkeypatch):
     [result] = acceptance.run_suite([7], printer=lambda line: None, quick=True)
     assert result.passed
     assert len(seen) == 80 and set(seen) == {None}
+
+
+def test_quick_battery_prints_the_pinned_lines():
+    lines = []
+    acceptance.run_suite(printer=lines.append, quick=True)
+    assert [re.sub(r"\d+\.\ds\b", "<t>s", line) for line in lines] == QUICK_LINES
 
 
 def test_criterion_08_driver_soundness():
