@@ -1,8 +1,11 @@
 """The acceptance battery: twelve exact criteria run at their pinned scales.
 
-Each criterion function returns a CriterionResult and is deterministic given
-its seed.  ``run_suite`` executes a selection and prints one pass/fail line
-per criterion.  These are the same checks the test suite pins in
+``CRITERIA`` declares each criterion once: its name, its check, the keyword
+arguments of its smoke scale and its time cap in seconds, if it has one.  A
+check returns ``(passed, details)`` and is deterministic given its seed; its
+defaults are the pinned acceptance scale.  ``run_criterion`` times a check
+and judges it against its cap; ``run_suite`` runs a selection and prints one
+pass/fail line per criterion.  The test suite pins the same checks in
 tests/test_acceptance.py; the CLI exposes them under ``turanl2 check``.
 """
 
@@ -10,7 +13,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -64,106 +67,73 @@ class CriterionResult:
         return f"[{status}] criterion {self.number:2d} {self.name}: {self.details} ({self.seconds:.1f}s)"
 
 
-def _result(number, name, passed, details, t0) -> CriterionResult:
-    return CriterionResult(number, name, passed, details, time.monotonic() - t0)
-
-
-def criterion_1_formula_oracle(n_max: int = 40) -> CriterionResult:
+def _formula_oracle(n_max: int = 40) -> tuple[bool, str]:
     """Closed form equals direct enumeration for every composition."""
-    t0 = time.monotonic()
     checked = 0
     for n in range(n_max + 1):
         for comp in compositions_of(n):
             h, _ = build_c(comp)
             if c_l2_closed(comp) != l2_norm(h):
-                return _result(
-                    1, "formula-oracle", False, f"mismatch at {comp.sizes}", t0
-                )
+                return False, f"mismatch at {comp.sizes}"
             checked += 1
-    elapsed = time.monotonic() - t0
-    return _result(
-        1,
-        "formula-oracle",
-        elapsed < 60,
-        f"{checked} compositions agree; {elapsed:.1f}s (cap 60s)",
-        t0,
-    )
+    return True, f"{checked} compositions agree"
 
 
-def criterion_2_identities(trials: int = 10_000, seed: int = DEFAULT_SEED) -> CriterionResult:
+def _identities(trials: int = 10_000, seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Squared-codegree sum identity and codegree handshake on random graphs."""
-    t0 = time.monotonic()
     rng = random.Random(seed)
     for i in range(trials):
         n = rng.randint(0, 10)
         h = random_three_graph(rng, n, rng.random())
         cd = h.codegrees()
         if l2_norm(h) != 2 * count_s2(h) + 3 * len(h.edges):
-            return _result(2, "identity-suite", False, f"square identity failed at trial {i}", t0)
+            return False, f"square identity failed at trial {i}"
         if sum(cd.values()) != 3 * len(h.edges):
-            return _result(2, "identity-suite", False, f"handshake failed at trial {i}", t0)
-    return _result(2, "identity-suite", True, f"{trials} random graphs, zero violations", t0)
+            return False, f"handshake failed at trial {i}"
+    return True, f"{trials} random graphs, zero violations"
 
 
-def criterion_3_l2_degree(trials: int = 2_000, seed: int = DEFAULT_SEED) -> CriterionResult:
+def _l2_degree(trials: int = 2_000, seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """2-norm degree equals the deletion difference."""
-    t0 = time.monotonic()
     rng = random.Random(seed + 3)
     for i in range(trials):
         n = rng.randint(1, 10)
         h = random_three_graph(rng, n, rng.random())
         v = rng.randrange(n)
         if two_norm_degree(h, v) != l2_norm(h) - l2_norm(delete_vertex(h, v)):
-            return _result(3, "l2-degree-consistency", False, f"trial {i} failed", t0)
-    return _result(3, "l2-degree-consistency", True, f"{trials} random (graph, vertex) pairs", t0)
+            return False, f"trial {i} failed"
+    return True, f"{trials} random (graph, vertex) pairs"
 
 
-def criterion_4_balancedness(n_lo: int = 6, n_hi: int = 30) -> CriterionResult:
-    t0 = time.monotonic()
+def _balancedness(n_lo: int = 6, n_hi: int = 30) -> tuple[bool, str]:
     family_hits = {name: 0 for name in ACCEPTANCE_GAIN_FAMILIES}
     for n in range(n_lo, n_hi + 1):
         report = balancedness_sweep(n)
         if not report.maximizers_are_near_balanced:
-            return _result(4, "balancedness", False, f"maximizer mismatch at n={n}", t0)
+            return False, f"maximizer mismatch at n={n}"
         if not report.all_gains_match:
-            return _result(4, "balancedness", False, f"gain polynomial mismatch at n={n}", t0)
+            return False, f"gain polynomial mismatch at n={n}"
         for check in report.gain_checks:
             if check.family in family_hits:
                 family_hits[check.family] += 1
     missing = [name for name, hits in family_hits.items() if hits == 0]
-    return _result(
-        4,
-        "balancedness",
-        not missing,
-        f"n in [{n_lo},{n_hi}]; pinned families exercised: {family_hits}",
-        t0,
-    )
+    return not missing, f"n in [{n_lo},{n_hi}]; pinned families exercised: {family_hits}"
 
 
-def criterion_5_simplex(resolution: int = 200, width: Fraction = Fraction(1, 10**6)) -> CriterionResult:
-    t0 = time.monotonic()
+def _simplex(resolution: int = 200, width: Fraction = Fraction(1, 10**6)) -> tuple[bool, str]:
     grid = verify_simplex_inequality(resolution)
     third = Fraction(1, 3)
     expected_zeros = ((third, third, third),) if resolution % 3 == 0 else ()
     grid_ok = grid.worst_margin >= 0 and grid.zero_margin_points == expected_zeros
     cert = certify_simplex_inequality(width)
-    elapsed = time.monotonic() - t0
-    ok = grid_ok and cert.certified and elapsed < 300
-    return _result(
-        5,
-        "simplex-inequality",
-        ok,
-        (
-            f"grid d={resolution} worst={grid.worst_margin} zeros={len(grid.zero_margin_points)}; "
-            f"certificate boxes={cert.boxes_certified_interval}+{cert.boxes_certified_center} "
-            f"undecided={len(cert.undecided)}; {elapsed:.1f}s (cap 300s)"
-        ),
-        t0,
+    return grid_ok and cert.certified, (
+        f"grid d={resolution} worst={grid.worst_margin} zeros={len(grid.zero_margin_points)}; "
+        f"certificate boxes={cert.boxes_certified_interval}+{cert.boxes_certified_center} "
+        f"undecided={len(cert.undecided)}"
     )
 
 
-def criterion_6_toggle_exactness(trials: int = 5_000, seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.monotonic()
+def _toggle_exactness(trials: int = 5_000, seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     rng = random.Random(seed + 6)
     for i in range(trials):
         n = rng.randint(4, 30)
@@ -191,7 +161,7 @@ def criterion_6_toggle_exactness(trials: int = 5_000, seed: int = DEFAULT_SEED) 
         # same diff the S-sets describe, so it would agree with them anyway
         fresh = ThreeGraph(new_h.n, new_h.edges, _normalized=True)
         if rep.delta != l2_norm(fresh) - l2_norm(h):
-            return _result(6, "toggle-exactness", False, f"delta mismatch at trial {i}", t0)
+            return False, f"delta mismatch at trial {i}"
         after = fresh.codegrees()
         changed = {
             e
@@ -200,26 +170,25 @@ def criterion_6_toggle_exactness(trials: int = 5_000, seed: int = DEFAULT_SEED) 
         }
         allowed = rep.changed_pairs()
         if not changed <= allowed:
-            return _result(6, "toggle-exactness", False, f"changed pair outside S-sets at trial {i}", t0)
+            return False, f"changed pair outside S-sets at trial {i}"
         for e in allowed:
             moved = after.get(e, 0) - before.get(e, 0)
             if e == rep.e_star:
                 if moved != len(rep.added) - len(rep.removed):
-                    return _result(6, "toggle-exactness", False, f"e* delta wrong at trial {i}", t0)
+                    return False, f"e* delta wrong at trial {i}"
             elif e in rep.s1:
                 if moved != 1:
-                    return _result(6, "toggle-exactness", False, f"S1 step wrong at trial {i}", t0)
+                    return False, f"S1 step wrong at trial {i}"
             elif moved != -1:
-                return _result(6, "toggle-exactness", False, f"down-set step wrong at trial {i}", t0)
-    return _result(6, "toggle-exactness", True, f"{trials} random toggles reconciled", t0)
+                return False, f"down-set step wrong at trial {i}"
+    return True, f"{trials} random toggles reconciled"
 
 
-def criterion_7_toggle_increase(
+def _toggle_increase(
     trials_per_phase: int = 1_000,
     seed: int = DEFAULT_SEED,
     counterexample_dir: Optional[str] = None,
-) -> CriterionResult:
-    t0 = time.monotonic()
+) -> tuple[bool, str]:
     rng = random.Random(seed + 7)
     plan: list[tuple[str, int, int]] = []
     for phase in ("one", "two"):
@@ -237,17 +206,10 @@ def criterion_7_toggle_increase(
         verdict = verify_toggle_increase(h, p, pair, phase, Thresholds(xi), counterexample_dir)
         if verdict.report.delta <= 0:
             failures += 1
-    return _result(
-        7,
-        "toggle-increase",
-        failures == 0,
-        f"{2 * trials_per_phase} generated instances, {failures} non-positive deltas",
-        t0,
-    )
+    return failures == 0, f"{2 * trials_per_phase} generated instances, {failures} non-positive deltas"
 
 
-def criterion_8_driver(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.monotonic()
+def _driver(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     rng = random.Random(seed + 8)
     for n in (6, 9, 12):
         base, p = build_balanced_c(n)
@@ -288,98 +250,113 @@ def criterion_8_driver(seed: int = DEFAULT_SEED) -> CriterionResult:
                 continue
             exercised += 1
             if trace.bad_final or not trace.inside_construction:
-                return _result(8, "driver-soundness", False, f"leftover bad edges at n={n}", t0)
+                return False, f"leftover bad edges at n={n}"
             if not trace.bad_monotone or not trace.missing_monotone:
-                return _result(8, "driver-soundness", False, f"monotonicity broke at n={n}", t0)
+                return False, f"monotonicity broke at n={n}"
         if exercised < 6:
-            return _result(8, "driver-soundness", False, f"too few covered instances at n={n}", t0)
-    return _result(8, "driver-soundness", True, "perturbed constructions cleaned at n=6,9,12", t0)
+            return False, f"too few covered instances at n={n}"
+    return True, "perturbed constructions cleaned at n=6,9,12"
 
 
-def criterion_9_symmetrization(trials: int = 500, seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.monotonic()
+def _symmetrization(trials: int = 500, seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     rng = random.Random(seed + 9)
     for i in range(trials):
         n = rng.randint(3, 12)
         cg = random_cyclic_triangle_free(rng, n, rng.random())
         out, _ = locally_symmetrize(cg)
         if len(out.graph.edges) < len(cg.graph.edges):
-            return _result(9, "symmetrization", False, f"edge count dropped at trial {i}", t0)
+            return False, f"edge count dropped at trial {i}"
         if not is_cyclic_triangle_free(out):
-            return _result(9, "symmetrization", False, f"freeness lost at trial {i}", t0)
+            return False, f"freeness lost at trial {i}"
         report = check_symmetrized_facts(out)
         if not report.all_pass:
-            return _result(9, "symmetrization", False, f"fact check failed at trial {i}", t0)
-    return _result(9, "symmetrization", True, f"{trials} random graphs symmetrized", t0)
+            return False, f"fact check failed at trial {i}"
+    return True, f"{trials} random graphs symmetrized"
 
 
-def criterion_10_mantel(part_size: int = 2) -> CriterionResult:
-    t0 = time.monotonic()
+def _mantel(part_size: int = 2) -> tuple[bool, str]:
     report = census_mod.census_colored_mantel(part_size, "edges", mode="exhaustive")
-    cap = report.extra["edge_bound"]
+    bound = report.extra["edge_bound"]
     lam = report.reference_value
-    elapsed = time.monotonic() - t0
-    ok = report.optimum <= cap and report.optimum >= lam and elapsed < 10
-    return _result(
-        10,
-        "colored-mantel-bound",
-        ok,
-        f"optimum={report.optimum} in [{lam}, {cap}]; {elapsed:.1f}s (cap 10s)",
-        t0,
-    )
+    ok = report.optimum <= bound and report.optimum >= lam
+    return ok, f"optimum={report.optimum} in [{lam}, {bound}]"
 
 
-def criterion_11_census_cross_validation(run_n6: bool = True) -> CriterionResult:
-    t0 = time.monotonic()
+def _census_cross_validation(run_n6: bool = True) -> tuple[bool, str]:
     details = []
     for n in (4, 5):
         naive = census_mod.census_k43(n, method="naive")
         canon = census_mod.census_k43(n, method="canonical")
         if naive.optimum != canon.optimum or naive.iso_classes != canon.iso_classes:
-            return _result(11, "census-cross-validation", False, f"disagreement at n={n}", t0)
+            return False, f"disagreement at n={n}"
+        if n == 4 and canon.optimum != 15:
+            return False, "n=4 optimum is not 15"
         details.append(f"n={n}: opt={canon.optimum} classes={canon.iso_classes}")
-    if census_mod.census_k43(4, method="canonical").optimum != 15:
-        return _result(11, "census-cross-validation", False, "n=4 optimum is not 15", t0)
     if run_n6:
         six = census_mod.census_k43(6, method="canonical")
         details.append(
             f"n=6: opt={six.optimum} reference_attains={six.reference_attains} "
             f"unique={six.reference_unique} (recorded as data)"
         )
-    return _result(11, "census-cross-validation", True, "; ".join(details), t0)
+    return True, "; ".join(details)
 
 
-def criterion_12_tripartite(n_max: int = 2) -> CriterionResult:
-    t0 = time.monotonic()
+def _tripartite(n_max: int = 2) -> tuple[bool, str]:
     details = []
     for n in range(1, n_max + 1):
         rep = census_mod.census_tripartite_triangle_free(n)
         # independent engine: the full scan against the census's cover search
         alt_opt, _, _ = census_mod._free_subsets(*census_mod._tripartite_ground(n), len)
         if rep.optimum != alt_opt:
-            return _result(12, "tripartite-oracle", False, f"engines disagree at n={n}", t0)
+            return False, f"engines disagree at n={n}"
         if not rep.extra["within_slack_bound"]:
-            return _result(12, "tripartite-oracle", False, f"slack bound violated at n={n}", t0)
+            return False, f"slack bound violated at n={n}"
         if not rep.extra["all_match_split_form"]:
-            return _result(12, "tripartite-oracle", False, f"non-split maximizer at n={n}", t0)
+            return False, f"non-split maximizer at n={n}"
         details.append(f"n={n}: opt={rep.optimum} (2n^2={2*n*n})")
-    return _result(12, "tripartite-oracle", True, "; ".join(details), t0)
+    return True, "; ".join(details)
 
 
-CRITERIA: dict[int, Callable[[], CriterionResult]] = {
-    1: criterion_1_formula_oracle,
-    2: criterion_2_identities,
-    3: criterion_3_l2_degree,
-    4: criterion_4_balancedness,
-    5: criterion_5_simplex,
-    6: criterion_6_toggle_exactness,
-    7: criterion_7_toggle_increase,
-    8: criterion_8_driver,
-    9: criterion_9_symmetrization,
-    10: criterion_10_mantel,
-    11: criterion_11_census_cross_validation,
-    12: criterion_12_tripartite,
+@dataclass(frozen=True)
+class Criterion:
+    """One criterion: its name and check, the keyword arguments that shrink
+    it to a smoke run, and the seconds it must finish in (None: no cap)."""
+
+    name: str
+    check: Callable[..., tuple[bool, str]]
+    smoke: dict = field(default_factory=dict)
+    cap: Optional[int] = None
+
+
+CRITERIA: dict[int, Criterion] = {
+    1: Criterion("formula-oracle", _formula_oracle, {"n_max": 20}, cap=60),
+    2: Criterion("identity-suite", _identities, {"trials": 1000}),
+    3: Criterion("l2-degree-consistency", _l2_degree, {"trials": 200}),
+    4: Criterion("balancedness", _balancedness, {"n_hi": 15}),
+    5: Criterion("simplex-inequality", _simplex, {"resolution": 60}, cap=300),
+    6: Criterion("toggle-exactness", _toggle_exactness, {"trials": 400}),
+    7: Criterion("toggle-increase", _toggle_increase, {"trials_per_phase": 40}),
+    8: Criterion("driver-soundness", _driver),
+    9: Criterion("symmetrization", _symmetrization, {"trials": 60}),
+    10: Criterion("colored-mantel-bound", _mantel, cap=10),
+    11: Criterion("census-cross-validation", _census_cross_validation),
+    12: Criterion("tripartite-oracle", _tripartite),
 }
+
+
+def run_criterion(number: int, **scale) -> CriterionResult:
+    """Time one criterion's check at ``scale`` (its pinned scale by default).
+    A capped criterion also fails past its cap, and its details say so."""
+    if number not in CRITERIA:
+        raise InvalidArgument(f"no criterion {number}")
+    criterion = CRITERIA[number]
+    t0 = time.monotonic()
+    passed, details = criterion.check(**scale)
+    elapsed = time.monotonic() - t0
+    if criterion.cap is not None:
+        passed = passed and elapsed < criterion.cap
+        details += f"; {elapsed:.1f}s (cap {criterion.cap}s)"
+    return CriterionResult(number, criterion.name, passed, details, elapsed)
 
 
 def run_suite(
@@ -388,25 +365,12 @@ def run_suite(
     quick: bool = False,
 ) -> list[CriterionResult]:
     """Run the selected criteria (all twelve by default) and print one line
-    each; a criterion named twice runs once.  ``quick`` shrinks the
-    randomized trial counts for smoke runs; the pinned acceptance scales are
-    the defaults."""
-    selected = sorted(set(numbers or CRITERIA))
+    each; a criterion named twice runs once.  ``quick`` runs each criterion
+    at its smoke scale; the pinned acceptance scales are the defaults."""
     results = []
-    for number in selected:
-        if number not in CRITERIA:
-            raise InvalidArgument(f"no criterion {number}")
-        if quick and number in (2, 3, 6, 7, 9):
-            shrunk = {2: 1000, 3: 200, 6: 400, 7: 40, 9: 60}[number]
-            result = CRITERIA[number](trials_per_phase=shrunk) if number == 7 else CRITERIA[number](shrunk)
-        elif quick and number == 5:
-            result = criterion_5_simplex(resolution=60)
-        elif quick and number == 1:
-            result = criterion_1_formula_oracle(n_max=20)
-        elif quick and number == 4:
-            result = criterion_4_balancedness(6, 15)
-        else:
-            result = CRITERIA[number]()
+    for number in sorted(set(numbers or CRITERIA)):
+        scale = CRITERIA[number].smoke if quick and number in CRITERIA else {}
+        result = run_criterion(number, **scale)
         printer(result.line())
         results.append(result)
     return results

@@ -221,9 +221,14 @@ def cmd_census(args) -> int:
                     ThreeGraph(args.n, form, _normalized=True),
                     stem.with_name(f"{stem.name}-extremal{i}.h3"),
                 )
-    if not report.reference_attains and report.optimum < report.reference_value:
-        return 1  # the reference construction beat the census: impossible if sound
-    return 0
+    return _census_exit(report)
+
+
+def _census_exit(report) -> int:
+    """1 when the reference construction beats the census (impossible if
+    sound) or a Mantel edge optimum exceeds the edge bound, else 0."""
+    holds = report.optimum >= report.reference_value and report.extra.get("edge_bound_holds", True)
+    return 0 if holds else 1
 
 
 def cmd_mantel(args) -> int:
@@ -232,10 +237,7 @@ def cmd_mantel(args) -> int:
     )
     payload = _header(args, **report.to_json_dict())
     _emit(args, payload)
-    ok = report.optimum >= report.reference_value
-    if args.objective == "edges":
-        ok = ok and report.extra.get("edge_bound_holds", True)
-    return 0 if ok else 1
+    return _census_exit(report)
 
 
 def cmd_symmetrize(args) -> int:

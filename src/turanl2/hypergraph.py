@@ -278,13 +278,13 @@ def make_graph(n: int, triples: Iterable[Sequence[int]]) -> ThreeGraph:
     """
     if n < 0:
         raise VertexOutOfRange("vertex count must be nonnegative")
-    return ThreeGraph(n, (normalize_triple(t, n) for t in triples))
+    return ThreeGraph(n, triples)
 
 
 def make_pair_graph(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
     if n < 0:
         raise VertexOutOfRange("vertex count must be nonnegative")
-    return Graph(n, (normalize_pair(e, n) for e in pairs))
+    return Graph(n, pairs)
 
 
 def codegree(h: ThreeGraph, e: Sequence[int]) -> int:

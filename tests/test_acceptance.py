@@ -1,14 +1,18 @@
 """The acceptance gate: every criterion at its pinned scale and tolerance.
 
-One test per criterion; each prints its summary line (visible with -s or in
-failure output).  The randomized criteria are fully seeded, so this module is
-deterministic.  Expect several minutes of runtime; the generated-instance
-positivity suite (criterion 7) dominates.
+One test per criterion, run through ``acceptance.run_criterion``; each prints
+its summary line (visible with -s or in failure output).  The randomized
+criteria are fully seeded, so this module is deterministic.  Expect about half
+a minute of runtime; criteria 1 and 7 dominate.
 """
 
 import re
+from types import SimpleNamespace
 
-from turanl2 import acceptance
+import pytest
+
+from turanl2 import acceptance, cli
+from turanl2.errors import InvalidArgument
 
 # ``turanl2 check --suite all --quick`` with every seconds figure masked
 QUICK_LINES = [
@@ -31,8 +35,12 @@ QUICK_LINES = [
 ]
 
 
-def _run(fn, *args, **kwargs):
-    result = fn(*args, **kwargs)
+def _masked(lines):
+    return [re.sub(r"\d+\.\ds\b", "<t>s", line) for line in lines]
+
+
+def _run(number, **scale):
+    result = acceptance.run_criterion(number, **scale)
     print()
     print(result.line())
     assert result.passed, result.details
@@ -42,36 +50,31 @@ def _run(fn, *args, **kwargs):
 def test_criterion_01_formula_oracle():
     # closed form == enumerated norm for all ~12k compositions with n <= 40,
     # inside the 60 s budget
-    _run(acceptance.criterion_1_formula_oracle, 40)
+    _run(1, n_max=40)
 
 
 def test_criterion_02_identity_suite():
-    _run(acceptance.criterion_2_identities, 10_000)
+    _run(2, trials=10_000)
 
 
 def test_criterion_03_l2_degree_consistency():
-    _run(acceptance.criterion_3_l2_degree, 2_000)
+    _run(3, trials=2_000)
 
 
 def test_criterion_04_balancedness():
-    _run(acceptance.criterion_4_balancedness, 6, 30)
+    _run(4, n_lo=6, n_hi=30)
 
 
 def test_criterion_05_simplex_inequality():
-    _run(acceptance.criterion_5_simplex, 200)
+    _run(5, resolution=200)
 
 
 def test_criterion_06_toggle_exactness():
-    _run(acceptance.criterion_6_toggle_exactness, 5_000)
+    _run(6, trials=5_000)
 
 
 def test_criterion_07_toggle_increase(tmp_path):
-    result = acceptance.criterion_7_toggle_increase(
-        1_000, counterexample_dir=str(tmp_path / "counterexamples")
-    )
-    print()
-    print(result.line())
-    assert result.passed, result.details
+    _run(7, trials_per_phase=1_000, counterexample_dir=str(tmp_path / "counterexamples"))
     assert not (tmp_path / "counterexamples").exists()
 
 
@@ -92,24 +95,43 @@ def test_quick_check_writes_no_counterexamples(monkeypatch):
 def test_quick_battery_prints_the_pinned_lines():
     lines = []
     acceptance.run_suite(printer=lines.append, quick=True)
-    assert [re.sub(r"\d+\.\ds\b", "<t>s", line) for line in lines] == QUICK_LINES
+    assert _masked(lines) == QUICK_LINES
+
+
+def test_a_capped_criterion_fails_past_its_cap_and_reports_its_time(monkeypatch, capsys):
+    ticks = iter((0.0, 61.0))
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    result = acceptance.run_criterion(1, n_max=3)
+    assert result.line() == (
+        "[FAIL] criterion  1 formula-oracle: 20 compositions agree; 61.0s (cap 60s) (61.0s)"
+    )
+    monkeypatch.undo()
+    # a failed fact keeps its message and still reports its time against the cap
+    monkeypatch.setattr(acceptance, "c_l2_closed", lambda comp: -1)
+    assert cli.main(["check", "--suite", "1,2", "--quick"]) == 1
+    assert _masked(capsys.readouterr().out.splitlines()) == [
+        "[FAIL] criterion  1 formula-oracle: mismatch at (0, 0, 0); <t>s (cap 60s) (<t>s)",
+        QUICK_LINES[1],
+    ]
+    with pytest.raises(InvalidArgument):
+        acceptance.run_criterion(13)
 
 
 def test_criterion_08_driver_soundness():
-    _run(acceptance.criterion_8_driver)
+    _run(8)
 
 
 def test_criterion_09_symmetrization():
-    _run(acceptance.criterion_9_symmetrization, 500)
+    _run(9, trials=500)
 
 
 def test_criterion_10_colored_mantel_bound():
-    _run(acceptance.criterion_10_mantel, 2)
+    _run(10, part_size=2)
 
 
 def test_criterion_11_census_cross_validation():
-    _run(acceptance.criterion_11_census_cross_validation)
+    _run(11)
 
 
 def test_criterion_12_tripartite_oracle():
-    _run(acceptance.criterion_12_tripartite, 2)
+    _run(12, n_max=2)

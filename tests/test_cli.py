@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -111,6 +112,16 @@ def test_mantel_subcommand(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["optimum"] == 9 and payload["extra"]["edge_bound_holds"] is True
+
+
+def test_census_and_mantel_judge_a_mantel_report_alike(capsys, monkeypatch):
+    real = census_colored_mantel(2, "edges", mode="exhaustive")
+    broken = dataclasses.replace(real, extra={**real.extra, "edge_bound_holds": False})
+    monkeypatch.setattr(cli, "census_colored_mantel", lambda *args, **kwargs: broken)
+    for argv in (["census", "--problem", "mantel-edges", "--n", "2"],
+                 ["mantel", "--n", "2", "--objective", "edges"]):
+        code, out, _ = run(argv, capsys)
+        assert code == 1 and json.loads(out)["extra"]["edge_bound_holds"] is False, argv
 
 
 def test_symmetrize_subcommand(tmp_path, capsys, monkeypatch):

@@ -31,6 +31,7 @@ from turanl2.hypergraph import (
     least_relabeling,
     link,
     make_graph,
+    make_pair_graph,
     shadow,
     two_norm_degree,
 )
@@ -52,6 +53,33 @@ def test_make_graph_rejects_bad_input():
         make_graph(4, [[0, 1, 1]])
     with pytest.raises(DegenerateEdge):
         make_graph(4, [[0, 1]])
+
+
+def test_make_pair_graph_normalizes_dedupes_and_rejects_bad_input():
+    assert make_pair_graph(3, [[2, 0], [0, 2], (1, 2)]).edges == ((0, 2), (1, 2))
+    for n, pairs, error in ((3, [[0, 3]], VertexOutOfRange), (3, [[1, 1]], DegenerateEdge),
+                            (3, [[0, 1, 2]], DegenerateEdge), (-1, [], VertexOutOfRange)):
+        with pytest.raises(error):
+            make_pair_graph(n, pairs)
+    with pytest.raises(VertexOutOfRange):
+        make_graph(-1, [])
+
+
+def test_builders_normalize_each_item_once(monkeypatch):
+    from turanl2 import hypergraph
+
+    calls = []
+    for name in ("normalize_triple", "normalize_pair"):
+        def counted(item, n, real=getattr(hypergraph, name), name=name):
+            calls.append(name)
+            return real(item, n)
+
+        monkeypatch.setattr(hypergraph, name, counted)
+    assert make_graph(4, [[2, 1, 0], [0, 1, 2], [1, 2, 3]]).edges == ((0, 1, 2), (1, 2, 3))
+    assert calls == ["normalize_triple"] * 3
+    calls.clear()
+    assert make_pair_graph(3, [[1, 0], [0, 1]]).edges == ((0, 1),)
+    assert calls == ["normalize_pair"] * 2
 
 
 def test_codegree_small_cases():

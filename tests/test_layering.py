@@ -15,7 +15,8 @@ and the census no longer reaches for ``completes_k43``.  Every census
 searches by covers and closes its classes in one routine, the full scan is
 called only by the naive K4^3 method and acceptance criterion 12, and
 squares are counted in one routine; one runtime check counts the reference
-sweeps per census.
+sweeps per census.  Each acceptance criterion's name and time cap are written
+only in the ``CRITERIA`` table, and only ``run_criterion`` reads the clock.
 """
 
 import ast
@@ -213,7 +214,7 @@ def test_every_census_searches_by_covers_and_closes_classes_in_one_routine():
         for name, node in _functions(path.stem).items()
         if _calls_named(node, "_free_subsets")
     }
-    assert scanners == {("census", "census_k43"), ("acceptance", "criterion_12_tripartite")}
+    assert scanners == {("census", "census_k43"), ("acceptance", "_tripartite")}
     naive = [
         node
         for node in ast.walk(functions["census_k43"])
@@ -256,3 +257,33 @@ def test_k43_census_sweeps_the_reference_once(monkeypatch):
         calls.clear()
         census.census_k43(5, method)
         assert calls == [5], method
+
+
+def test_acceptance_criteria_are_declared_once():
+    tree = _tree("acceptance")
+    [table] = [
+        node for node in tree.body
+        if isinstance(node, ast.AnnAssign) and node.target.id == "CRITERIA"
+    ]
+    records = [node for node in ast.walk(table.value) if isinstance(node, ast.Call)]
+    names = {call.args[0].value for call in records}
+    caps = {kw.value.value for call in records for kw in call.keywords if kw.arg == "cap"}
+    assert len(records) == len(names) == 12 and caps == {60, 300, 10}
+    inside = {id(node) for node in ast.walk(table)}
+    outside = [node for node in ast.walk(tree) if id(node) not in inside]
+    constants = [node.value for node in outside if isinstance(node, ast.Constant)]
+    assert not [value for value in constants if isinstance(value, str) and value in names]
+    # a cap is judged and reported only by run_criterion, through the record
+    compared = [c for node in outside if isinstance(node, ast.Compare) for c in node.comparators]
+    assert not [ast.unparse(c) for c in compared if isinstance(c, ast.Constant) and c.value in caps]
+    functions = _functions("acceptance")
+    reporters = {
+        name
+        for name, node in functions.items()
+        if any(isinstance(sub, ast.Constant) and "(cap" in str(sub.value) for sub in ast.walk(node))
+    }
+    assert reporters == {"run_criterion"}
+    assert _calls_named(tree, "monotonic") == _calls_named(functions["run_criterion"], "monotonic") == 2
+    # the smoke scales come from the table too
+    suite = [node.value for node in ast.walk(functions["run_suite"]) if isinstance(node, ast.Constant)]
+    assert not [value for value in suite if type(value) is int]
