@@ -48,11 +48,6 @@ def construction_edges(p: Partition3) -> frozenset[Triple]:
     return construction(p).edge_set
 
 
-def is_construction_edge(t: Triple, p: Partition3) -> bool:
-    a, b, c = t
-    return CYCLIC_TABLE[9 * p.part_of(a) + 3 * p.part_of(b) + p.part_of(c) - 13]
-
-
 @dataclass(frozen=True)
 class EdgeClassification:
     """The six families; ``b`` and ``m`` always partition as int/bi, tri/bi."""
@@ -79,10 +74,13 @@ class EdgeClassification:
         except KeyError:
             raise UnknownFamily(f"unknown family {family_id!r}; use one of {FAMILY_IDS}")
 
+    def through(self, family_id: str, e: Sequence[int]) -> frozenset[Triple]:
+        """The edges of a family that contain the pair ``e``."""
+        u, v = normalize_pair(e, self.h.n)
+        return frozenset(t for t in self.family(family_id) if u in t and v in t)
+
     def codegree(self, family_id: str, e: Sequence[int]) -> int:
-        pair = normalize_pair(e, self.h.n)
-        fam = self.family(family_id)
-        return sum(1 for t in fam if pair[0] in t and pair[1] in t)
+        return len(self.through(family_id, e))
 
     def intersection_size(self) -> int:
         return len(self.h.edges) - len(self.b)
@@ -294,8 +292,15 @@ class TogglePhase:
     item_iv: str
     item_v: Optional[str] = None
 
-    def pair_fits(self, p: Partition3, pair: Pair) -> bool:
-        return (p.part_of(pair[0]) == p.part_of(pair[1])) == self.internal
+    def fit_pair(self, p: Partition3, e_star: Sequence[int], n: int) -> Pair:
+        """e* normalized; a pair of the wrong kind raises ``EdgeNotInternal``
+        or ``EdgeNotCrossing``, both ``EdgePhaseMismatch``."""
+        pair = normalize_pair(e_star, n)
+        if (p.part_of(pair[0]) == p.part_of(pair[1])) != self.internal:
+            if self.internal:
+                raise EdgeNotInternal(f"pair {pair} crosses parts")
+            raise EdgeNotCrossing(f"pair {pair} lies inside one part")
+        return pair
 
 
 TOGGLE_PHASES: Mapping[str, TogglePhase] = MappingProxyType(
@@ -317,6 +322,14 @@ TOGGLE_PHASES: Mapping[str, TogglePhase] = MappingProxyType(
         ),
     }
 )
+PHASES = tuple(TOGGLE_PHASES)  # ("one", "two")
+
+
+def toggle_phase(phase: str) -> TogglePhase:
+    """The phase's toggle spec; an unknown phase is a usage error."""
+    if phase not in PHASES:
+        raise InvalidArgument(f"phase must be one of {PHASES}")
+    return TOGGLE_PHASES[phase]
 
 
 @dataclass(frozen=True)
@@ -449,12 +462,8 @@ def _phase_checklist(
     t: Thresholds,
     ec: Optional[EdgeClassification],
 ) -> Checklist:
-    spec = TOGGLE_PHASES[phase]
-    pair = normalize_pair(e_star, h.n)
-    if not spec.pair_fits(p, pair):
-        if spec.internal:
-            raise EdgeNotInternal(f"pair {pair} crosses parts")
-        raise EdgeNotCrossing(f"pair {pair} lies inside one part")
+    spec = toggle_phase(phase)
+    pair = spec.fit_pair(p, e_star, h.n)
     if h.codegrees().get(pair, 0) == 0:
         raise EdgeNotInShadow(f"pair {pair} is covered by no edge")
     n = h.n

@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, help_text):
         return sub.add_parser(name, help=help_text, parents=[common])
 
-    c = add("construct", "emit a construction as .h3 (+ .p3)")
+    # construct and check read neither --seed nor --json, so they take neither
+    c = sub.add_parser("construct", help="emit a construction as .h3 (+ .p3)")
     c.add_argument("--type", choices=("C", "B"), default="C")
     c.add_argument("--sizes", type=_int_list, default=[])
     c.add_argument("--sweep", type=int, default=None, help="emit the closed-form CSV for this n")
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--output")
     c.set_defaults(fn=cmd_ineq)
 
-    c = add("check", "run the acceptance battery")
+    c = sub.add_parser("check", help="run the acceptance battery")
     c.add_argument("--suite", type=_suite, default="all",
                    help="'all' or comma-separated criterion numbers")
     c.add_argument("--quick", action="store_true", help="shrunk trial counts for a smoke run")

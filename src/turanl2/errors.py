@@ -55,20 +55,21 @@ class UnknownFamily(TuranL2Error):
     """An edge-family identifier is not one of the six classified families."""
 
 
-class EdgeNotInternal(TuranL2Error):
-    """The pair must lie inside a single part."""
+class EdgePhaseMismatch(TuranL2Error):
+    """The pair's position (internal/crossing) does not match the toggle phase;
+    ``TogglePhase.fit_pair``, the one pair-fit check, raises a subclass below."""
 
 
-class EdgeNotCrossing(TuranL2Error):
-    """The pair must cross two distinct parts."""
+class EdgeNotInternal(EdgePhaseMismatch):
+    """The pair must lie inside a single part (phase one)."""
+
+
+class EdgeNotCrossing(EdgePhaseMismatch):
+    """The pair must cross two distinct parts (phase two)."""
 
 
 class EdgeNotInShadow(TuranL2Error):
     """The pair must be covered by at least one edge of the 3-graph."""
-
-
-class EdgePhaseMismatch(TuranL2Error):
-    """The pair's position (internal/crossing) does not match the toggle phase."""
 
 
 class FormatError(TuranL2Error):

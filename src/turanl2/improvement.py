@@ -18,17 +18,17 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .classification import (
-    TOGGLE_PHASES,
     Checklist,
+    EdgeClassification,
     Thresholds,
-    TogglePhase,
     check_phase_one_hypotheses,
     check_phase_two_hypotheses,
     classify_edges,
     family_stats,
+    toggle_phase,
 )
-from .constructions import Composition3, Partition3, construction, prev_part
-from .errors import EdgePhaseMismatch, InvalidArgument
+from .constructions import Composition3, Partition3, construction
+from .errors import InvalidArgument
 from .hypergraph import (
     Pair,
     ThreeGraph,
@@ -37,16 +37,6 @@ from .hypergraph import (
     l2_norm,
     normalize_pair,
 )
-
-PHASES = tuple(TOGGLE_PHASES)  # ("one", "two")
-
-
-def _phase_spec(phase: str) -> TogglePhase:
-    """The phase's toggle spec; an unknown phase is a usage error."""
-    if phase not in PHASES:
-        raise InvalidArgument(f"phase must be one of {PHASES}")
-    return TOGGLE_PHASES[phase]
-
 
 @dataclass(frozen=True)
 class DeltaReport:
@@ -99,19 +89,17 @@ def apply_toggle(
 
     The delta is accumulated pair by pair from the current codegree table
     and always reconciles with a from-scratch recomputation.  A precomputed
-    classification of (h, p) may be passed to avoid repeating it.
+    classification of (h, p) may be passed to avoid repeating it.  A pair of
+    the wrong kind fails the checklists' own check, ``TogglePhase.fit_pair``,
+    with ``EdgeNotInternal`` or ``EdgeNotCrossing`` (both ``EdgePhaseMismatch``).
     """
-    spec = _phase_spec(phase)
-    pair = normalize_pair(e_star, h.n)
+    spec = toggle_phase(phase)
+    pair = spec.fit_pair(p, e_star, h.n)
     u1, u2 = pair
-    if not spec.pair_fits(p, pair):
-        where = "lie inside one part" if spec.internal else "cross two parts"
-        raise EdgePhaseMismatch(f"phase-{phase} pair {pair} must {where}")
-
     if ec is None:
         ec = classify_edges(h, p)
-    removed = frozenset(t for t in ec.b if u1 in t and u2 in t)
-    added = frozenset(t for t in ec.family(spec.missing) if u1 in t and u2 in t)
+    removed = ec.through("B", pair)
+    added = ec.through(spec.missing, pair)
 
     cd = h.codegrees()
     l2_before = l2_norm(h)
@@ -199,17 +187,18 @@ def verify_toggle_increase(
     failing checklist yields no claim either way.
 
     The report's S-set decomposition of the delta is checked against a
-    second, independent route, ``l2_norm(new_h) - l2_norm(h)``: a per-pair
-    recount from the diff edges, since the toggled graph's codegree table is
-    ``h``'s with the three pairs of each gained or lost edge moved by one
-    (see :meth:`ThreeGraph.with_changes`), never read off the S-sets.
+    second, independent route, ``l2_norm(new_h) == report.l2_after``: the
+    toggled graph's norm is a per-pair recount from the diff edges, since its
+    codegree table is ``h``'s with the three pairs of each gained or lost edge
+    moved by one (see :meth:`ThreeGraph.with_changes`), never read off the
+    S-sets; ``h``'s norm is computed once, by ``apply_toggle``.
     """
-    _phase_spec(phase)
+    toggle_phase(phase)
     ec = classify_edges(h, p)
     checker = check_phase_one_hypotheses if phase == "one" else check_phase_two_hypotheses
     checklist = checker(h, p, e_star, t, ec=ec)
     new_h, report = apply_toggle(h, p, e_star, phase, ec=ec)
-    assert report.delta == l2_norm(new_h) - l2_norm(h)
+    assert l2_norm(new_h) == report.l2_after
     if not checklist.all_pass:
         return ToggleVerdict(checklist, report, "hypotheses-unmet-no-claim")
     if report.delta > 0:
@@ -253,38 +242,35 @@ class Queues:
     b_tilde: frozenset[Triple]
 
 
-def build_queues(h: ThreeGraph, p: Partition3, delta4: Fraction) -> Queues:
+def _checked_delta4(delta4) -> Fraction:
     delta4 = Fraction(delta4)
     if not 0 < delta4 < 1:
         raise InvalidArgument("delta4 must lie strictly between 0 and 1")
-    n = h.n
-    ec = classify_edges(h, p)
+    return delta4
+
+
+def build_queues(h: ThreeGraph, p: Partition3, delta4: Fraction) -> Queues:
+    delta4 = _checked_delta4(delta4)
+    return _queues(classify_edges(h, p), delta4)
+
+
+def _queues(ec: EdgeClassification, delta4: Fraction) -> Queues:
+    """The queues of the classified state ``ec``."""
+    parts = ec.partition.parts
+    n = len(parts)
     m_cod = family_stats(ec, "M").pair_codegrees
     mtri_cod = family_stats(ec, "M_tri").pair_codegrees
+    # both bounds are positive (n > 0 whenever there are pairs), so a pair
+    # absent from a codegree table never qualifies; transversal pairs cross
+    i_pairs = [e for e, d in m_cod.items() if parts[e[0]] == parts[e[1]] and d >= delta4 * n]
+    j_pairs = [e for e, d in mtri_cod.items() if d >= Fraction(n, 10)]
 
-    parts = p.parts
-    i_pairs = []
-    for i in (1, 2, 3):
-        members = sorted(p.part_sets()[i - 1])
-        for e in itertools.combinations(members, 2):
-            if m_cod.get(e, 0) >= delta4 * n:
-                i_pairs.append(e)
-    j_pairs = []
-    for e in itertools.combinations(range(n), 2):
-        if parts[e[0]] != parts[e[1]] and mtri_cod.get(e, 0) >= Fraction(n, 10):
-            j_pairs.append(e)
+    def same_part_pair(t: Triple) -> Pair:
+        return next(e for e in itertools.combinations(t, 2) if parts[e[0]] == parts[e[1]])
 
-    b_tilde = set()
-    for t in ec.b_bi:
-        labels = [parts[v] for v in t]
-        doubled = next(x for x in (1, 2, 3) if labels.count(x) == 2)
-        single = next(x for x in (1, 2, 3) if labels.count(x) == 1)
-        if single != prev_part(doubled):
-            continue  # wrong orientation: not a (i, i, i-1) pattern
-        same_pair = tuple(sorted(v for v in t if parts[v] == doubled))
-        if m_cod.get(same_pair, 0) <= delta4 * n:
-            b_tilde.add(t)
-    return Queues(tuple(sorted(i_pairs)), tuple(sorted(j_pairs)), frozenset(b_tilde))
+    # a bi-bad edge always has the shape (i, i, i-1): (i, i, i+1) is a construction shape
+    b_tilde = frozenset(t for t in ec.b_bi if m_cod.get(same_part_pair(t), 0) <= delta4 * n)
+    return Queues(tuple(sorted(i_pairs)), tuple(sorted(j_pairs)), b_tilde)
 
 
 @dataclass(frozen=True)
@@ -358,8 +344,9 @@ def two_phase_driver(
     construction.  The l2 trajectory and tetrahedron-freeness along the way
     are recorded, not enforced.
     """
-    delta4 = Fraction(delta4)
-    queues = build_queues(h, p, delta4)
+    delta4 = _checked_delta4(delta4)
+    ec = classify_edges(h, p)
+    queues = _queues(ec, delta4)
     i_pairs, j_pairs = list(queues.i_pairs), list(queues.j_pairs)
     if order_seed is not None:
         import random
@@ -369,7 +356,6 @@ def two_phase_driver(
         rng.shuffle(j_pairs)
 
     queue_pairs = set(queues.i_pairs) | set(queues.j_pairs)
-    ec = classify_edges(h, p)
     bad_initial = ec.b
     covered = all(
         any(tuple(sorted(e)) in queue_pairs for e in itertools.combinations(t, 2))
@@ -383,8 +369,9 @@ def two_phase_driver(
     missing_monotone = True
     free = not contains_k43(h)
 
-    # each state is classified once: the toggle reads it, the next state's
-    # families are compared against it
+    # each state is classified once: the queues and the first toggle read
+    # the initial state's classification, each later toggle its
+    # predecessor's, and the next state's families are compared against it
     for phase, pairs in (("one", i_pairs), ("two", j_pairs)):
         for e in pairs:
             current, report = apply_toggle(current, p, e, phase, ec=ec)
@@ -439,7 +426,7 @@ def generate_phase_instance(
     positivity is a property to verify exactly, not a consequence of a fully
     passing checklist.
     """
-    spec = _phase_spec(phase)
+    spec = toggle_phase(phase)
     xi = Fraction(xi)
     comp = Composition3.balanced(n)
     partition = comp.partition()

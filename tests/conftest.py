@@ -6,9 +6,10 @@ permutation, the K4^3 census's classes come from canonicalizing every labelled
 maximizer, subgraph searches enumerate vertex subsets directly, the
 tripartite census's maximizers come from a decomposition over the bipartite
 graphs between two parts, the cyclic construction is recounted from the
-part counts of every triple, the simplex certificate and grid sweep are
-rerun in Fraction arithmetic, and the two toggle checklists are written out
-separately, one body per phase.
+part counts of every triple, the driver's queues come from a scan of every
+pair, the simplex certificate and grid sweep are rerun in Fraction
+arithmetic, and the two toggle checklists are written out separately, one
+body per phase.
 """
 
 import itertools
@@ -26,8 +27,10 @@ from turanl2.classification import (
     _shared_items,
     classify_edges,
 )
+from turanl2.constructions import CYCLIC_TABLE
 from turanl2.errors import EdgeNotCrossing, EdgeNotInShadow, EdgeNotInternal
 from turanl2.hypergraph import ThreeGraph, canonical_form, normalize_pair
+from turanl2.improvement import Queues
 from turanl2.inequality import (
     CENTER_RADIUS,
     THIRD,
@@ -129,6 +132,13 @@ def oracle_cyclic_edges(parts) -> frozenset:
         if tuple(sum(1 for v in t if parts[v] == i) for i in (1, 2, 3))
         in CYCLIC_PART_COUNTS
     )
+
+
+def is_construction_edge(t, p) -> bool:
+    """Membership of one triple, in any vertex order, by a ``CYCLIC_TABLE``
+    lookup: the per-triple route the library's scans inline."""
+    a, b, c = t
+    return CYCLIC_TABLE[9 * p.part_of(a) + 3 * p.part_of(b) + p.part_of(c) - 13]
 
 
 # --- rational interval arithmetic: the oracle for the integer certificate ---
@@ -350,6 +360,33 @@ def oracle_phase_two_checklist(h, p, e_star, t, ec=None) -> Checklist:
         )
     )
     return Checklist("two", pair, tuple(items))
+
+
+def oracle_queues(h: ThreeGraph, p, delta4: Fraction) -> Queues:
+    """The driver's queues by scanning every pair and every bad edge, with the
+    families recounted from ``oracle_cyclic_edges``."""
+    parts, n = p.parts, h.n
+    cons = oracle_cyclic_edges(parts)
+    missing = cons - h.edge_set
+    transversal = {t for t in missing if len({parts[v] for v in t}) == 3}
+
+    def cod(family, a, b):
+        return sum(1 for t in family if a in t and b in t)
+
+    pairs = list(itertools.combinations(range(n), 2))
+    i_pairs = [e for e in pairs if parts[e[0]] == parts[e[1]] and cod(missing, *e) >= delta4 * n]
+    j_pairs = [e for e in pairs if parts[e[0]] != parts[e[1]]
+               and cod(transversal, *e) >= Fraction(n, 10)]
+    b_tilde = set()
+    for t in h.edge_set - cons:
+        labels = [parts[v] for v in t]
+        for i in (1, 2, 3):
+            # two vertices in part i and one in the part before it
+            if labels.count(i) == 2 and labels.count((i - 2) % 3 + 1) == 1:
+                a, b = (v for v in t if parts[v] == i)
+                if cod(missing, a, b) <= delta4 * n:
+                    b_tilde.add(t)
+    return Queues(tuple(i_pairs), tuple(j_pairs), frozenset(b_tilde))
 
 
 def random_graph(rng: random.Random, n: int, density: float) -> ThreeGraph:

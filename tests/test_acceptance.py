@@ -16,19 +16,19 @@ from turanl2.errors import InvalidArgument
 
 # ``turanl2 check --suite all --quick`` with every seconds figure masked
 QUICK_LINES = [
-    "[PASS] criterion  1 formula-oracle: 1771 compositions agree; <t>s (cap 60s) (<t>s)",
+    "[PASS] criterion  1 formula-oracle: 1771 compositions agree; cap 60s (<t>s)",
     "[PASS] criterion  2 identity-suite: 1000 random graphs, zero violations (<t>s)",
     "[PASS] criterion  3 l2-degree-consistency: 200 random (graph, vertex) pairs (<t>s)",
     "[PASS] criterion  4 balancedness: n in [6,15]; pinned families exercised: "
     "{'top-heavy-equal-pair': 3, 'middle-light-high-third': 3, "
     "'middle-light-mid-third': 4, 'middle-light-low-third': 3} (<t>s)",
     "[PASS] criterion  5 simplex-inequality: grid d=60 worst=0 zeros=1; "
-    "certificate boxes=181+8 undecided=0; <t>s (cap 300s) (<t>s)",
+    "certificate boxes=181+8 undecided=0; cap 300s (<t>s)",
     "[PASS] criterion  6 toggle-exactness: 400 random toggles reconciled (<t>s)",
     "[PASS] criterion  7 toggle-increase: 80 generated instances, 0 non-positive deltas (<t>s)",
     "[PASS] criterion  8 driver-soundness: perturbed constructions cleaned at n=6,9,12 (<t>s)",
     "[PASS] criterion  9 symmetrization: 60 random graphs symmetrized (<t>s)",
-    "[PASS] criterion 10 colored-mantel-bound: optimum=9 in [9, 20]; <t>s (cap 10s) (<t>s)",
+    "[PASS] criterion 10 colored-mantel-bound: optimum=9 in [9, 20]; cap 10s (<t>s)",
     "[PASS] criterion 11 census-cross-validation: n=4: opt=15 classes=1; n=5: opt=47 classes=1; "
     "n=6: opt=120 reference_attains=True unique=True (recorded as data) (<t>s)",
     "[PASS] criterion 12 tripartite-oracle: n=1: opt=2 (2n^2=2); n=2: opt=8 (2n^2=8) (<t>s)",
@@ -103,14 +103,14 @@ def test_a_capped_criterion_fails_past_its_cap_and_reports_its_time(monkeypatch,
     monkeypatch.setattr(acceptance, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     result = acceptance.run_criterion(1, n_max=3)
     assert result.line() == (
-        "[FAIL] criterion  1 formula-oracle: 20 compositions agree; 61.0s (cap 60s) (61.0s)"
+        "[FAIL] criterion  1 formula-oracle: 20 compositions agree; cap 60s (61.0s)"
     )
     monkeypatch.undo()
     # a failed fact keeps its message and still reports its time against the cap
     monkeypatch.setattr(acceptance, "c_l2_closed", lambda comp: -1)
     assert cli.main(["check", "--suite", "1,2", "--quick"]) == 1
     assert _masked(capsys.readouterr().out.splitlines()) == [
-        "[FAIL] criterion  1 formula-oracle: mismatch at (0, 0, 0); <t>s (cap 60s) (<t>s)",
+        "[FAIL] criterion  1 formula-oracle: mismatch at (0, 0, 0); cap 60s (<t>s)",
         QUICK_LINES[1],
     ]
     with pytest.raises(InvalidArgument):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    is_construction_edge,
     oracle_cyclic_edges,
     oracle_phase_one_checklist,
     oracle_phase_two_checklist,
@@ -16,6 +17,7 @@ from conftest import (
 )
 from turanl2.classification import (
     FAMILY_IDS,
+    PHASES,
     TOGGLE_PHASES,
     Thresholds,
     check_phase_one_hypotheses,
@@ -23,7 +25,6 @@ from turanl2.classification import (
     classify_edges,
     construction_edges,
     family_stats,
-    is_construction_edge,
     link_move_inequalities,
     optimize_partition,
 )
@@ -46,7 +47,7 @@ from turanl2.errors import (
     UnknownFamily,
 )
 from turanl2.hypergraph import ThreeGraph, link, make_graph
-from turanl2.improvement import PHASES, generate_phase_instance
+from turanl2.improvement import generate_phase_instance
 
 
 def test_construction_edges_matches_builder_on_contiguous_partition():
@@ -111,8 +112,9 @@ def test_family_stats_recount(rng):
                     deg[v] += 1
             assert stats.max_vertex_degree == max(deg.values(), default=0)
             for e in itertools.combinations(range(n), 2):
-                want = sum(1 for t in fam if e[0] in t and e[1] in t)
-                assert ec.codegree(fam_id, e) == want
+                want = frozenset(t for t in fam if e[0] in t and e[1] in t)
+                assert ec.through(fam_id, e) == ec.through(fam_id, e[::-1]) == want
+                assert ec.codegree(fam_id, e) == len(want)
     with pytest.raises(UnknownFamily):
         ec.family("X")
 

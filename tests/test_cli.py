@@ -210,6 +210,25 @@ def test_removed_options_are_rejected(capsys):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", (["--seed", "7"], ["--json"]))
+@pytest.mark.parametrize("argv", (["construct", "--sweep", "5"], ["check", "--suite", "12"]))
+def test_construct_and_check_reject_the_flags_they_do_not_read(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_every_other_subcommand_takes_seed_and_json():
+    parser = cli.build_parser()
+    for argv in (["norm", "--input", "g.h3"], ["classify", "--input", "g.h3"],
+                 ["improve", "--input", "g.h3", "--partition", "g.p3"],
+                 ["census", "--problem", "tripartite", "--n", "1"], ["mantel", "--n", "1"],
+                 ["symmetrize", "--input", "g.cg"], ["ineq"]):
+        args = parser.parse_args(argv + ["--seed", "7", "--json"])
+        assert args.seed == 7 and args.json, argv
+
+
 def test_assisted_mantel_rejects_empty_parts(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mantel", "--n", "0", "--mode", "assisted"])

@@ -1,9 +1,9 @@
 """The cyclic construction model against the part-count oracle in conftest.
 
 Every fast membership path (the generator, the memo, the builder, the
-per-triple test, both partition optimizers and the colored triangle scan)
-is compared with ``oracle_cyclic_edges``, which never reads the table, and
-the memo's closed-form codegree table with ``oracle_codegrees`` counted over
+per-triple table lookup, both partition optimizers and the colored
+triangle scan) is compared with ``oracle_cyclic_edges``, which never reads
+the table, and the memo's closed-form codegree table with ``oracle_codegrees`` counted over
 those oracle edges.
 """
 
@@ -13,12 +13,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CYCLIC_PART_COUNTS, oracle_codegrees, oracle_cyclic_edges, random_graph
-from turanl2.classification import (
-    construction_edges,
+from conftest import (
+    CYCLIC_PART_COUNTS,
     is_construction_edge,
-    optimize_partition,
+    oracle_codegrees,
+    oracle_cyclic_edges,
+    random_graph,
 )
+from turanl2.classification import construction_edges, optimize_partition
 from turanl2.colored import ColoredGraph, cyclic_triangles, is_cyclic_triangle_free
 from turanl2.constructions import (
     CYCLIC_TABLE,

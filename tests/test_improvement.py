@@ -2,11 +2,21 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_codegrees, oracle_l2, random_graph
-from turanl2.classification import Thresholds, classify_edges
+from conftest import oracle_codegrees, oracle_l2, oracle_queues, random_graph
+from turanl2.classification import (
+    Thresholds,
+    check_phase_one_hypotheses,
+    check_phase_two_hypotheses,
+    classify_edges,
+)
 from turanl2.colored import Partition3
 from turanl2.constructions import Composition3, build_balanced_c, construction
-from turanl2.errors import EdgePhaseMismatch, InvalidArgument
+from turanl2.errors import (
+    EdgeNotCrossing,
+    EdgeNotInternal,
+    EdgePhaseMismatch,
+    InvalidArgument,
+)
 from turanl2.hypergraph import l2_norm, make_graph
 from turanl2 import improvement
 from turanl2.improvement import (
@@ -66,6 +76,39 @@ def test_toggle_phase_mismatch(rng):
         with pytest.raises(InvalidArgument) as info:
             call()
         assert str(info.value) == "phase must be one of ('one', 'two')"
+
+
+def test_misfit_pair_raises_alike_in_checklist_and_toggle():
+    c6, p6 = build_balanced_c(6)
+    t = Thresholds(Fraction(1, 100))
+    checkers = {"one": check_phase_one_hypotheses, "two": check_phase_two_hypotheses}
+    for phase, fit, misfit in (("one", (1, 0), (2, 0)), ("two", (2, 0), (1, 0))):
+        checkers[phase](c6, p6, fit, t)
+        apply_toggle(c6, p6, fit, phase)
+        raised = []
+        for call in (checkers[phase], lambda *a: apply_toggle(*a[:3], phase)):
+            with pytest.raises(EdgePhaseMismatch) as info:
+                call(c6, p6, misfit, t)
+            raised.append((type(info.value), str(info.value)))
+        kind = EdgeNotInternal if phase == "one" else EdgeNotCrossing
+        where = "crosses parts" if phase == "one" else "lies inside one part"
+        assert raised == [(kind, f"pair {tuple(sorted(misfit))} {where}")] * 2
+
+
+def test_verify_computes_the_norm_of_h_once(monkeypatch, rng):
+    seen = []
+
+    def counting(g):
+        seen.append(g)
+        return l2_norm(g)
+
+    monkeypatch.setattr(improvement, "l2_norm", counting)
+    for phase in ("one", "two"):
+        h, p, pair = generate_phase_instance(rng, 30, Fraction(1, 10**6), phase)
+        seen.clear()
+        verdict = verify_toggle_increase(h, p, pair, phase, Thresholds(Fraction(1, 10**6)))
+        assert [g is h for g in seen] == [True, False]
+        assert verdict.report.l2_after == l2_norm(seen[1]) == oracle_l2(seen[1])
 
 
 def _random_phase_pair(rng, parts, n, phase):
@@ -128,6 +171,19 @@ class TestBuildQueues:
         h = c6.with_changes(remove=[(0, 2, 4), (0, 2, 5)])
         q = build_queues(h, p6, Fraction(1, 40))
         assert (0, 2) in q.j_pairs
+
+    def test_queues_match_the_pair_scan_oracle(self, rng):
+        for trial in range(400):
+            n = rng.randint(0, 13)
+            p = Partition3(tuple(rng.choice((1, 2, 3)) for _ in range(n)))
+            if trial % 2:
+                h = random_graph(rng, n, rng.random() * 0.5)
+            else:
+                base = construction(p)
+                gone = rng.sample(base.edges, min(len(base.edges), rng.randint(0, 3 * n)))
+                h = base.with_changes(add=random_graph(rng, n, 0.05).edges, remove=gone)
+            delta4 = Fraction(1, rng.choice((40, 8, 3, 2)))
+            assert build_queues(h, p, delta4) == oracle_queues(h, p, delta4), trial
 
     def test_planted_bad_edge_with_quiet_pair_is_deferred(self):
         c6, p6 = build_balanced_c(6)
@@ -201,8 +257,9 @@ class TestDriver:
         for h in (c9, mixed):
             calls.clear()
             trace = two_phase_driver(h, p9, order_seed=order_seed)
-            # the queues and the initial state once each, then each step's result
-            assert len(calls) == len(trace.steps) + 2
+            # the initial state once, for the queues and the first toggle,
+            # then each step's result
+            assert len(calls) == len(trace.steps) + 1
         assert len(trace.steps) >= 3 and {s.phase for s in trace.steps} == {"one", "two"}
 
     def test_order_seed_permutes_queues_only(self):

@@ -280,7 +280,7 @@ def test_acceptance_criteria_are_declared_once():
     reporters = {
         name
         for name, node in functions.items()
-        if any(isinstance(sub, ast.Constant) and "(cap" in str(sub.value) for sub in ast.walk(node))
+        if any(isinstance(sub, ast.Constant) and "; cap " in str(sub.value) for sub in ast.walk(node))
     }
     assert reporters == {"run_criterion"}
     assert _calls_named(tree, "monotonic") == _calls_named(functions["run_criterion"], "monotonic") == 2
