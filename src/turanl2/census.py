@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -54,6 +53,7 @@ from .hypergraph import (
 K43_CENSUS_CAP = 8
 K43_NAIVE_CAP = 5
 MANTEL_EXHAUSTIVE_CAP = 2  # part size; 3n <= 8
+MANTEL_CLASS_CAP = 6  # classes per blow-up structure in the assisted search
 TRIPARTITE_CAP = 3
 
 
@@ -69,12 +69,9 @@ class CensusReport:
     reference_attains: bool
     reference_unique: bool
     nodes_explored: int
-    wall_time: float
     extra: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        # wall_time deliberately omitted: reports must be byte-identical
-        # across runs of the same configuration.
         return {
             "n": self.n,
             "objective": self.objective,
@@ -128,7 +125,6 @@ def census_k43(n: int, method: str = "canonical") -> CensusReport:
     cap = K43_NAIVE_CAP if method == "naive" else K43_CENSUS_CAP
     if n > cap:
         raise SizeLimitExceeded(f"{method} K4^3 census capped at {cap} vertices, got {n}")
-    t0 = time.monotonic()
     triples = all_triples(n)
     tetrahedra = _subset_masks(
         triples,
@@ -165,7 +161,6 @@ def census_k43(n: int, method: str = "canonical") -> CensusReport:
         reference_attains=attains,
         reference_unique=attains and len(forms) == 1,
         nodes_explored=nodes,
-        wall_time=time.monotonic() - t0,
         extra={"labeled_maximizers": len(argmax), "method": method},
     )
 
@@ -322,12 +317,7 @@ def _colored_canonical(edges: Sequence[tuple[int, int]], n: int, maps: Sequence[
 # colored Mantel census
 
 
-def census_colored_mantel(
-    n: int,
-    objective: str = "edges",
-    mode: str = "auto",
-    class_cap: int = 6,
-) -> CensusReport:
+def census_colored_mantel(n: int, objective: str = "edges", mode: str = "auto") -> CensusReport:
     """Maximum edges or degree-square sum over cyclically triangle-free
     colored graphs with all three parts of size n.
 
@@ -335,7 +325,7 @@ def census_colored_mantel(
     masks, floored at Lambda(n, n, n); :func:`_classes` closes the classes
     under the color-preserving relabelings and the rotations of the parts.
     assisted: exact optimization over locally symmetrized blow-up
-    structures with at most ``class_cap`` >= 3 classes (plus the three
+    structures with at most ``MANTEL_CLASS_CAP`` classes (plus the three
     rotations of the reference's class profile, so the reference is always
     inside the search space).  The symmetrization reduction is proved for
     the edge objective; for the degree-square objective the assisted optimum
@@ -354,14 +344,11 @@ def census_colored_mantel(
     if mode == "assisted":
         if n < 1:
             raise InvalidArgument(f"assisted colored census needs part size at least 1, got {n}")
-        if class_cap < 3:  # every profile has a class in each part
-            raise InvalidArgument(f"assisted census class cap must be at least 3, got {class_cap}")
-        return _mantel_assisted(n, objective, class_cap)
+        return _mantel_assisted(n, objective)
     raise InvalidArgument(f"unknown mode {mode!r}")
 
 
 def _mantel_exhaustive(n: int, objective: str) -> CensusReport:
-    t0 = time.monotonic()
     big_n = 3 * n
     pairs = list(itertools.combinations(range(big_n), 2))
     color = [1] * n + [2] * n + [3] * n
@@ -380,7 +367,7 @@ def _mantel_exhaustive(n: int, objective: str) -> CensusReport:
         "iso_classes_rotation_quotient": len(rotated),
         "method": "exhaustive",
     }
-    return _mantel_report(n, objective, best, forms, nodes, t0, extra)
+    return _mantel_report(n, objective, best, forms, nodes, extra)
 
 
 def _lambda_value(n: int, objective: str) -> int:
@@ -390,7 +377,7 @@ def _lambda_value(n: int, objective: str) -> int:
 
 
 def _mantel_report(
-    n: int, objective: str, optimum: int, forms, nodes: int, t0: float, extra: dict
+    n: int, objective: str, optimum: int, forms, nodes: int, extra: dict
 ) -> CensusReport:
     """The report of either Mantel mode, compared against Lambda(n, n, n).
 
@@ -413,7 +400,6 @@ def _mantel_report(
         reference_attains=attains,
         reference_unique=attains and len(forms) == 1,
         nodes_explored=nodes,
-        wall_time=time.monotonic() - t0,
         extra=extra,
     )
 
@@ -427,14 +413,14 @@ def _positive_compositions(n: int, k: int):
             yield (first,) + rest
 
 
-def _mantel_assisted(n: int, objective: str, class_cap: int) -> CensusReport:
-    t0 = time.monotonic()
+def _mantel_assisted(n: int, objective: str) -> CensusReport:
+    classes = range(1, MANTEL_CLASS_CAP + 1)
     profiles = {
         (k1, k2, k3)
-        for k1 in range(1, class_cap + 1)
-        for k2 in range(1, class_cap + 1)
-        for k3 in range(1, class_cap + 1)
-        if k1 + k2 + k3 <= class_cap
+        for k1 in classes
+        for k2 in classes
+        for k3 in classes
+        if k1 + k2 + k3 <= MANTEL_CLASS_CAP
     }
     profiles |= {(1, 1, n), (1, n, 1), (n, 1, 1)}
     best = -1
@@ -480,12 +466,12 @@ def _mantel_assisted(n: int, objective: str, class_cap: int) -> CensusReport:
                                     }
     extra = {
         "method": "assisted",
-        "class_cap": class_cap,
+        "class_cap": MANTEL_CLASS_CAP,
         "search_space": "locally symmetrized blow-ups",
         "reduction_proved_for_objective": objective == "edges",
         "argmax_structure": best_desc,
     }
-    return _mantel_report(n, objective, best, (), nodes, t0, extra)
+    return _mantel_report(n, objective, best, (), nodes, extra)
 
 
 def _blowup_value(objective, n, sizes, phis) -> int:
@@ -554,7 +540,6 @@ def census_tripartite_triangle_free(n: int) -> CensusReport:
         raise SizeLimitExceeded(f"tripartite census capped at part size {TRIPARTITE_CAP}")
     if n < 0:
         raise VertexOutOfRange("vertex count must be nonnegative")
-    t0 = time.monotonic()
     optimum, argmax, nodes = _max_free_subsets(*_tripartite_ground(n), int.bit_count, 2 * n * n)
     split = _split_forms(n)
     mismatches = [edges for edges in argmax if frozenset(edges) not in split]
@@ -573,7 +558,6 @@ def census_tripartite_triangle_free(n: int) -> CensusReport:
         reference_attains=optimum >= 2 * n * n,
         reference_unique=False,
         nodes_explored=nodes,
-        wall_time=time.monotonic() - t0,
         extra={
             "labeled_maximizers": len(argmax),
             "all_match_split_form": not mismatches,

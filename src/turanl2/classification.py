@@ -14,6 +14,7 @@ in ``TOGGLE_PHASES``.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,13 +90,14 @@ class EdgeClassification:
 def classify_edges(h: ThreeGraph, p: Partition3) -> EdgeClassification:
     """The six edge families of ``h`` relative to the construction on ``p``.
 
-    Two routes give the same families.  When ``h`` was derived by
-    :meth:`ThreeGraph.with_changes` from the memoized ``construction(p)``
-    object itself, B and M are its recorded edits (``h.edits_from``), in time
+    Two routes give the same families.  When ``h`` was derived by one
+    :meth:`ThreeGraph.with_changes` call from the memoized ``construction(p)``
+    object itself, as :func:`improvement.generate_phase_instance` derives its
+    instances, B and M are its recorded edits (``h.edits_from``), in time
     linear in the edits.  Any other graph (built directly, loaded, derived
-    from another root, or derived before the memo moved on) takes the set
-    differences against ``construction_edges(p)``, in time linear in the
-    edge counts.
+    in more steps or from another graph, or derived before the memo moved
+    on) takes the set differences against ``construction_edges(p)``, in time
+    linear in the edge counts.
     """
     if p.n != h.n:
         raise PartitionMismatch(f"partition covers {p.n} vertices, graph has {h.n}")
@@ -105,7 +107,7 @@ def classify_edges(h: ThreeGraph, p: Partition3) -> EdgeClassification:
         b = frozenset(h.edge_set - cons)
         m = frozenset(cons - h.edge_set)
     else:
-        b, m = edits
+        b, m = map(frozenset, edits)
     parts = p.parts
     b_int = frozenset(t for t in b if parts[t[0]] == parts[t[1]] == parts[t[2]])
     m_tri = frozenset(
@@ -361,6 +363,9 @@ class Thresholds:
         return d
 
 
+_RELATIONS = {"<=": operator.le, ">=": operator.ge}
+
+
 @dataclass(frozen=True)
 class ChecklistItem:
     id: str
@@ -368,7 +373,11 @@ class ChecklistItem:
     lhs: Fraction
     rhs: Fraction
     relation: str  # "<=" or ">="
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """Whether ``lhs relation rhs`` holds."""
+        return _RELATIONS[self.relation](self.lhs, self.rhs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -413,7 +422,6 @@ def _shared_items(
             imbalance,
             xi * n,
             "<=",
-            imbalance <= xi * n,
         )
     ]
     dmax_m = family_stats(ec, "M").max_vertex_degree
@@ -426,7 +434,6 @@ def _shared_items(
             Fraction(worst),
             xi * n * n,
             "<=",
-            worst <= xi * n * n,
         )
     )
     return items
@@ -480,7 +487,6 @@ def _phase_checklist(
             Fraction(d_m * d_m),
             t.sqrt_bound_squared(spec.coeff, n),
             ">=",
-            t.at_least_sqrt_bound(d_m, spec.coeff, n),
         )
     )
     items.append(
@@ -490,7 +496,6 @@ def _phase_checklist(
             Fraction(d_m),
             Fraction(d_b) - xi * n,
             ">=",
-            Fraction(d_m) >= Fraction(d_b) - xi * n,
         )
     )
     if spec.item_v is not None:
@@ -502,7 +507,6 @@ def _phase_checklist(
                 Fraction(d_bbi),
                 xi * n,
                 "<=",
-                Fraction(d_bbi) <= xi * n,
             )
         )
     return Checklist(phase, pair, tuple(items))

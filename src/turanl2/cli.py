@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands: construct, norm, classify, improve, census, mantel, symmetrize,
-ineq, check.  Exit codes: 0 success, 1 a verified fact failed, 2 usage or
+Subcommands: construct, norm, classify, improve, census, symmetrize, ineq,
+check.  Exit codes: 0 success, 1 a verified fact failed, 2 usage or
 input error (argparse's own convention): a rejected argument or a malformed
 input file, reported as a ``TuranL2Error``.  Any other exception propagates.
 Numeric parameters are exact rationals written as 'p/q'.  Reports are
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 from typing import Optional
 
@@ -23,7 +24,12 @@ from .census import (
     census_tripartite_triangle_free,
 )
 from .classification import classify_edges, family_stats, optimize_partition
-from .colored import check_symmetrized_facts, is_cyclic_triangle_free, locally_symmetrize
+from .colored import (
+    ColoredGraph,
+    check_symmetrized_facts,
+    is_cyclic_triangle_free,
+    locally_symmetrize,
+)
 from .constructions import (
     Composition3,
     Partition3,
@@ -41,7 +47,7 @@ from .formats import (
     save_h3,
     save_p3,
 )
-from .hypergraph import ThreeGraph, count_s2, l2_norm
+from .hypergraph import ThreeGraph, count_s2, l2_norm, make_pair_graph
 from .improvement import two_phase_driver
 from .inequality import certify_simplex_inequality, verify_simplex_inequality
 from .util import dump_json, parse_fraction
@@ -180,22 +186,25 @@ def cmd_improve(args) -> int:
 
 def cmd_census(args) -> int:
     problem = args.problem
+    t0 = time.monotonic()
     if problem == "k43-l2":
         report = census_k43(args.n, method="naive" if args.exhaustive else "canonical")
-    elif problem == "mantel-edges":
-        report = census_colored_mantel(args.n, "edges", mode="exhaustive" if args.exhaustive else "auto")
-    elif problem == "mantel-l2":
-        report = census_colored_mantel(args.n, "l2", mode="exhaustive" if args.exhaustive else "auto")
-    elif problem == "tripartite":
-        report = census_tripartite_triangle_free(args.n)
+    elif problem.startswith("mantel"):
+        mode = "exhaustive" if args.exhaustive else "auto"
+        report = census_colored_mantel(args.n, problem.removeprefix("mantel-"), mode=mode)
+    elif args.exhaustive:
+        raise TuranL2Error(
+            "--exhaustive does not apply to tripartite: its census has one method, the cover search"
+        )
     else:
-        raise TuranL2Error(f"unknown problem {problem!r}")
+        report = census_tripartite_triangle_free(args.n)
+    wall = time.monotonic() - t0
     payload = _header(args, **report.to_json_dict())
     _emit(args, payload)
     sys.stderr.write(
         f"# {problem} n={args.n}: optimum={report.optimum} "
         f"iso_classes={report.iso_classes} nodes={report.nodes_explored} "
-        f"wall={report.wall_time:.2f}s\n"
+        f"wall={wall:.2f}s\n"
     )
     if args.output:
         stem = Path(args.output)
@@ -205,39 +214,20 @@ def cmd_census(args) -> int:
         stem.with_suffix(".csv").write_text(csv)
         for i, form in enumerate(report.extremal):
             if problem.startswith("mantel"):
-                from .colored import ColoredGraph, Partition3
-                from .hypergraph import make_pair_graph
-
-                n3 = 3 * args.n
                 cg = ColoredGraph(
-                    make_pair_graph(n3, list(form)),
+                    make_pair_graph(3 * args.n, list(form)),
                     Partition3.from_sizes(args.n, args.n, args.n),
                 )
                 save_cg(cg, stem.with_name(f"{stem.name}-extremal{i}.cg"))
-            elif problem == "tripartite":
-                continue
-            else:
+            elif problem == "k43-l2":
                 save_h3(
                     ThreeGraph(args.n, form, _normalized=True),
                     stem.with_name(f"{stem.name}-extremal{i}.h3"),
                 )
-    return _census_exit(report)
-
-
-def _census_exit(report) -> int:
-    """1 when the reference construction beats the census (impossible if
-    sound) or a Mantel edge optimum exceeds the edge bound, else 0."""
+    # 1 when the reference construction beats the census (impossible if
+    # sound) or a Mantel edge optimum exceeds the edge bound
     holds = report.optimum >= report.reference_value and report.extra.get("edge_bound_holds", True)
     return 0 if holds else 1
-
-
-def cmd_mantel(args) -> int:
-    report = census_colored_mantel(
-        args.n, args.objective, mode=args.mode, class_cap=args.class_cap
-    )
-    payload = _header(args, **report.to_json_dict())
-    _emit(args, payload)
-    return _census_exit(report)
 
 
 def cmd_symmetrize(args) -> int:
@@ -330,14 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--exhaustive", action="store_true")
     c.add_argument("--output")
     c.set_defaults(fn=cmd_census)
-
-    c = add("mantel", "colored Mantel census with mode control")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--objective", choices=("edges", "l2"), default="edges")
-    c.add_argument("--mode", choices=("auto", "exhaustive", "assisted"), default="auto")
-    c.add_argument("--class-cap", type=int, default=6)
-    c.add_argument("--output")
-    c.set_defaults(fn=cmd_mantel)
 
     c = add("symmetrize", "locally symmetrize a colored graph")
     c.add_argument("--input", required=True)

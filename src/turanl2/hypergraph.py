@@ -20,7 +20,6 @@ Pair = tuple[int, int]
 
 CANONICAL_VERTEX_CAP = 8
 FLAT_COUNT_MAX_N = 1024  # above it, n^2 flat codegree counters would not fit in memory
-_NO_EDGES: frozenset[Triple] = frozenset()
 
 
 def normalize_triple(t: Sequence[int], n: int) -> Triple:
@@ -58,11 +57,11 @@ class ThreeGraph:
     another graph's edges.  Membership and codegree tables are built lazily
     and cached, so lookups are O(1) after first use; a graph made by
     :meth:`with_changes` gets its codegree table at once, from its parent's,
-    and remembers its edits from its nearest directly built ancestor (see
-    :meth:`edits_from`).
+    and, when its parent was built directly, remembers its edits from that
+    parent (see :meth:`edits_from`).
     """
 
-    __slots__ = ("n", "edges", "_edge_set", "_codegrees", "_root", "_added", "_removed")
+    __slots__ = ("n", "edges", "_edge_set", "_codegrees", "_edit")
 
     def __init__(
         self,
@@ -80,11 +79,10 @@ class ThreeGraph:
         # the codegree table, a function making it on first use, or None to
         # count it on first use
         self._codegrees = _codegrees
-        # derivation record: edge_set == (_root.edge_set - _removed) | _added;
-        # a directly built graph is its own root, kept as None
-        self._root: Optional[ThreeGraph] = None
-        self._added: frozenset[Triple] = _NO_EDGES
-        self._removed: frozenset[Triple] = _NO_EDGES
+        # derivation record: None when built directly, (parent, gained, lost)
+        # when derived by with_changes from a directly built parent, () when
+        # derived from a derived one, so no graph keeps a grandparent alive
+        self._edit: Optional[tuple] = None
 
     @property
     def edge_set(self) -> frozenset[Triple]:
@@ -136,19 +134,15 @@ class ThreeGraph:
         check_vertex(v, self.n)
         return sum(1 for t in self.edges if v in t)
 
-    def edits_from(
-        self, root: "ThreeGraph"
-    ) -> Optional[tuple[frozenset[Triple], frozenset[Triple]]]:
-        """``(added, removed)`` with ``edge_set == (root.edge_set - removed) |
-        added``, ``added`` disjoint from ``root`` and ``removed`` inside it,
-        when ``root`` is this graph or the directly built graph (by identity)
-        that a chain of :meth:`with_changes` calls derived it from; else None.
+    def edits_from(self, parent: "ThreeGraph") -> Optional[tuple[list[Triple], list[Triple]]]:
+        """``(gained, lost)``, the sorted effective edits with ``edge_set ==
+        (parent.edge_set - lost) | gained``, ``gained`` disjoint from
+        ``parent`` and ``lost`` inside it, when this graph was derived by one
+        :meth:`with_changes` call from ``parent`` (by identity) and ``parent``
+        was built directly; else None.
         """
-        if root is self:
-            return _NO_EDGES, _NO_EDGES
-        if root is self._root:
-            return self._added, self._removed
-        return None
+        edit = self._edit
+        return edit[1:] if edit and edit[0] is parent else None
 
     def with_changes(
         self, add: Iterable[Triple] = (), remove: Iterable[Triple] = ()
@@ -157,19 +151,16 @@ class ThreeGraph:
 
         Edits are merged into the sorted edge list; no full re-sort.  The new
         graph's codegree table is a copy of this one's with the three pairs
-        of each effective edit moved by one; this table is not changed.  Its
-        derivation record composes this graph's with the effective edits, in
-        time linear in the edits made since the root.
+        of each effective edit moved by one; this table is not changed.  When
+        this graph was built directly, the new graph records the effective
+        edits against it.
         """
         edges, gained, lost = edit_sorted(self.edges, add, remove)
         cd = dict(self.codegrees())
         _move_pairs(cd, gained, 1)
         _move_pairs(cd, lost, -1)
         child = ThreeGraph(self.n, edges, _normalized=True, _codegrees=cd)
-        gained, lost = frozenset(gained), frozenset(lost)
-        child._root = self if self._root is None else self._root
-        child._added = (self._added - lost) | (gained - self._removed)
-        child._removed = (self._removed - gained) | (lost - self._added)
+        child._edit = (self, gained, lost) if self._edit is None else ()
         return child
 
 

@@ -364,7 +364,6 @@ def two_phase_driver(
 
     current = h
     steps: list[DriverStep] = []
-    l2s = [l2_norm(h)]
     bad_monotone = True
     missing_monotone = True
     free = not contains_k43(h)
@@ -380,11 +379,13 @@ def two_phase_driver(
                 bad_monotone = False
             if not ec.m <= prev.m:
                 missing_monotone = False
-            l2s.append(report.l2_after)
             steps.append(DriverStep(phase, report.e_star, report, len(ec.b)))
             if free:
                 free = not contains_k43(current)
 
+    # each toggle counts its input's norm, so h is counted here only when no
+    # toggle ran
+    l2_initial = steps[0].report.l2_before if steps else l2_norm(h)
     bad_final = ec.b
     return DriverTrace(
         initial=h,
@@ -399,7 +400,7 @@ def two_phase_driver(
         missing_monotone=missing_monotone,
         every_bad_edge_covered=covered,
         inside_construction=not bad_final,
-        l2_trajectory=tuple(l2s),
+        l2_trajectory=(l2_initial, *(s.report.l2_after for s in steps)),
         k43_free_throughout=free,
     )
 

@@ -277,6 +277,14 @@ def oracle_verify_simplex_inequality(d: int) -> GridReport:
 # --- one body per phase: the oracle for the table-driven checklist ---
 
 
+def _oracle_item(item_id, description, lhs, rhs, relation, passed) -> ChecklistItem:
+    """A checklist item whose own pass decision must agree with ``passed``,
+    the oracle's independent comparison."""
+    item = ChecklistItem(item_id, description, lhs, rhs, relation)
+    assert item.passed == passed, item
+    return item
+
+
 def oracle_phase_one_checklist(h, p, e_star, t, ec=None) -> Checklist:
     pair = normalize_pair(e_star, h.n)
     if p.part_of(pair[0]) != p.part_of(pair[1]):
@@ -293,7 +301,7 @@ def oracle_phase_one_checklist(h, p, e_star, t, ec=None) -> Checklist:
     items = _shared_items(h, p, t, ec)
     bound = 47 * 47 * xi * n * n
     items.append(
-        ChecklistItem(
+        _oracle_item(
             "iii",
             "squared missing codegree at e* at least 47^2 * xi * n^2",
             Fraction(d_m * d_m),
@@ -303,7 +311,7 @@ def oracle_phase_one_checklist(h, p, e_star, t, ec=None) -> Checklist:
         )
     )
     items.append(
-        ChecklistItem(
+        _oracle_item(
             "iv",
             "missing codegree at least bad codegree minus xi*n",
             Fraction(d_m),
@@ -313,7 +321,7 @@ def oracle_phase_one_checklist(h, p, e_star, t, ec=None) -> Checklist:
         )
     )
     items.append(
-        ChecklistItem(
+        _oracle_item(
             "v",
             "bi-bad codegree at e* at most xi*n",
             Fraction(d_bbi),
@@ -340,7 +348,7 @@ def oracle_phase_two_checklist(h, p, e_star, t, ec=None) -> Checklist:
     items = _shared_items(h, p, t, ec)
     bound = 90 * 90 * xi * n * n
     items.append(
-        ChecklistItem(
+        _oracle_item(
             "iii",
             "squared transversal-missing codegree at least 90^2 * xi * n^2",
             Fraction(d_mtri * d_mtri),
@@ -350,7 +358,7 @@ def oracle_phase_two_checklist(h, p, e_star, t, ec=None) -> Checklist:
         )
     )
     items.append(
-        ChecklistItem(
+        _oracle_item(
             "iv",
             "transversal-missing codegree at least bad codegree minus xi*n",
             Fraction(d_mtri),

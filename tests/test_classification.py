@@ -15,6 +15,7 @@ from conftest import (
     oracle_phase_two_checklist,
     random_graph,
 )
+from turanl2 import acceptance, classification
 from turanl2.classification import (
     FAMILY_IDS,
     PHASES,
@@ -47,7 +48,7 @@ from turanl2.errors import (
     UnknownFamily,
 )
 from turanl2.hypergraph import ThreeGraph, link, make_graph
-from turanl2.improvement import generate_phase_instance
+from turanl2.improvement import generate_phase_instance, verify_toggle_increase
 
 
 def test_construction_edges_matches_builder_on_contiguous_partition():
@@ -178,20 +179,44 @@ def test_diff_route_matches_set_differences(chain):
         "turanl2.classification.construction_edges", wraps=construction_edges
     ) as set_route:
         for i, (add, rem) in enumerate(steps):
-            h = h.with_changes(add=add, remove=rem)
+            parent, h = h, h.with_changes(add=add, remove=rem)
             if i == evict_at:
                 construction(Partition3((*parts, 1)))
                 evicted = True
-            added, removed = h.edits_from(root)
-            assert h.edge_set == (root.edge_set - removed) | added
-            assert added.isdisjoint(root.edge_set) and removed <= root.edge_set
+            # only a child of the directly built root records its edits
+            edits = h.edits_from(parent)
+            if i == 0:
+                assert edits == (sorted(h.edge_set - root.edge_set), sorted(root.edge_set - h.edge_set))
+            else:
+                assert edits is None
             before = set_route.call_count
             ec = classify_edges(h, p)
             # only the set-difference route asks for the construction's edges
-            took_diff = root_kind == "memo" and not evicted
+            took_diff = root_kind == "memo" and not evicted and i == 0
             assert set_route.call_count == before + (not took_diff)
             reference = classify_edges(ThreeGraph(h.n, h.edges, _normalized=True), p)
             assert _families(ec) == _families(reference)
+
+
+def test_phase_instances_take_the_diff_route(monkeypatch):
+    """Criterion 7 at smoke scale and a benchmark near-construction op
+    classify every instance from its recorded edits."""
+    calls = []
+    real = classification.construction_edges
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(classification, "construction_edges", counted)
+    [result] = acceptance.run_suite([7], printer=lambda line: None, quick=True)
+    assert result.passed
+    for phase in PHASES:
+        xi = Fraction(1, (TOGGLE_PHASES[phase].coeff * 4) ** 2 * 4)
+        h, p, pair = generate_phase_instance(random.Random(5), 66, xi, phase)
+        verdict = verify_toggle_increase(h, p, pair, phase, Thresholds(xi))
+        assert verdict.report.delta > 0
+    assert calls == []
 
 
 class TestOptimizePartition:

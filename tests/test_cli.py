@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 
@@ -108,20 +109,39 @@ def test_census_artifacts(tmp_path, capsys):
 
 
 def test_mantel_subcommand(capsys):
-    code, out, _ = run(["mantel", "--n", "2", "--objective", "edges", "--mode", "exhaustive"], capsys)
+    # the colored Mantel census is reached through census alone
+    with pytest.raises(SystemExit) as exc:
+        main(["mantel", "--n", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid choice: 'mantel'" in captured.err and captured.out == ""
+    code, out, _ = run(["census", "--problem", "mantel-edges", "--n", "2", "--exhaustive"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["optimum"] == 9 and payload["extra"]["edge_bound_holds"] is True
 
 
-def test_census_and_mantel_judge_a_mantel_report_alike(capsys, monkeypatch):
+def test_census_judges_a_mantel_report_by_its_edge_bound(capsys, monkeypatch):
     real = census_colored_mantel(2, "edges", mode="exhaustive")
     broken = dataclasses.replace(real, extra={**real.extra, "edge_bound_holds": False})
     monkeypatch.setattr(cli, "census_colored_mantel", lambda *args, **kwargs: broken)
-    for argv in (["census", "--problem", "mantel-edges", "--n", "2"],
-                 ["mantel", "--n", "2", "--objective", "edges"]):
-        code, out, _ = run(argv, capsys)
-        assert code == 1 and json.loads(out)["extra"]["edge_bound_holds"] is False, argv
+    code, out, _ = run(["census", "--problem", "mantel-edges", "--n", "2"], capsys)
+    assert code == 1 and json.loads(out)["extra"]["edge_bound_holds"] is False
+
+
+def test_tripartite_census_rejects_exhaustive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--problem", "tripartite", "--n", "1", "--exhaustive"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "cover search" in captured.err and captured.out == ""
+
+
+def test_subcommand_set_is_pinned():
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {
+        "construct", "norm", "classify", "improve", "census", "symmetrize", "ineq", "check",
+    }
 
 
 def test_symmetrize_subcommand(tmp_path, capsys, monkeypatch):
@@ -223,31 +243,15 @@ def test_every_other_subcommand_takes_seed_and_json():
     parser = cli.build_parser()
     for argv in (["norm", "--input", "g.h3"], ["classify", "--input", "g.h3"],
                  ["improve", "--input", "g.h3", "--partition", "g.p3"],
-                 ["census", "--problem", "tripartite", "--n", "1"], ["mantel", "--n", "1"],
+                 ["census", "--problem", "tripartite", "--n", "1"],
                  ["symmetrize", "--input", "g.cg"], ["ineq"]):
         args = parser.parse_args(argv + ["--seed", "7", "--json"])
         assert args.seed == 7 and args.json, argv
 
 
-def test_assisted_mantel_rejects_empty_parts(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["mantel", "--n", "0", "--mode", "assisted"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert "part size" in captured.err and captured.out == ""
-    with pytest.raises(InvalidArgument):
+def test_assisted_mantel_rejects_empty_parts():
+    with pytest.raises(InvalidArgument, match="part size"):
         census_colored_mantel(0, mode="assisted")
-
-
-@pytest.mark.parametrize("cap", ("-5", "0", "2"))
-def test_assisted_mantel_rejects_a_class_cap_below_three(cap, capsys):
-    # every class profile needs a class in each part, so a cap under 3 would
-    # leave only the reference's rotated profiles to search
-    with pytest.raises(SystemExit) as exc:
-        main(["mantel", "--n", "3", "--class-cap", cap])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert "class cap" in captured.err and captured.out == ""
 
 
 def test_bad_rationals_are_usage_errors(tmp_path, capsys):

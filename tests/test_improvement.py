@@ -262,6 +262,27 @@ class TestDriver:
             assert len(calls) == len(trace.steps) + 1
         assert len(trace.steps) >= 3 and {s.phase for s in trace.steps} == {"one", "two"}
 
+    def test_each_state_norm_is_counted_once(self, monkeypatch):
+        calls = []
+
+        def counting(h):
+            calls.append(h)
+            return l2_norm(h)
+
+        monkeypatch.setattr(improvement, "l2_norm", counting)
+        c9, p9 = build_balanced_c(9)
+        mixed = c9.with_changes(add=[(0, 1, 6), (0, 3, 4)], remove=[(0, 1, 3), (0, 3, 6)])
+        for h in (c9, mixed):
+            calls.clear()
+            trace = two_phase_driver(h, p9)
+            # each toggle counts its input; h is counted apart only when no
+            # toggle ran
+            assert len(calls) == max(len(trace.steps), 1)
+            assert len(trace.l2_trajectory) == len(trace.steps) + 1
+            assert trace.l2_trajectory[0] == oracle_l2(h)
+            assert trace.l2_trajectory[-1] == oracle_l2(trace.final)
+        assert trace.steps
+
     def test_order_seed_permutes_queues_only(self):
         c6, p6 = build_balanced_c(6)
         h = c6.with_changes(

@@ -16,7 +16,9 @@ searches by covers and closes its classes in one routine, the full scan is
 called only by the naive K4^3 method and acceptance criterion 12, and
 squares are counted in one routine; one runtime check counts the reference
 sweeps per census.  Each acceptance criterion's name and time cap are written
-only in the ``CRITERIA`` table, and only ``run_criterion`` reads the clock.
+only in the ``CRITERIA`` table, and only ``run_criterion`` reads the clock
+there; census reports carry no clock, so ``cmd_census`` is the clock's one
+other reader.
 """
 
 import ast
@@ -287,3 +289,20 @@ def test_acceptance_criteria_are_declared_once():
     # the smoke scales come from the table too
     suite = [node.value for node in ast.walk(functions["run_suite"]) if isinstance(node, ast.Constant)]
     assert not [value for value in suite if type(value) is int]
+
+
+def test_census_reports_carry_no_clock():
+    readers = {
+        (path.stem, name)
+        for path in SRC.glob("*.py")
+        for name, node in _functions(path.stem).items()
+        if _calls_named(node, "monotonic")
+    }
+    assert readers == {("acceptance", "run_criterion"), ("cli", "cmd_census")}
+    assert all(imported != "time" for imported, _ in _module_level_imports("census"))
+    [report] = [
+        node for node in _tree("census").body
+        if isinstance(node, ast.ClassDef) and node.name == "CensusReport"
+    ]
+    fields = [node for node in report.body if isinstance(node, ast.AnnAssign)]
+    assert fields and not [ast.unparse(f) for f in fields if ast.unparse(f.annotation) == "float"]
