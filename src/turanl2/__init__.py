@@ -23,7 +23,6 @@ from .classification import (
     classify_edges,
     construction_edges,
     family_stats,
-    link_move_inequalities,
     optimize_partition,
 )
 from .colored import (
@@ -52,7 +51,6 @@ from .constructions import (
     build_balanced_c,
     build_c,
     c_l2_closed,
-    c_lower_bound_check,
     compositions_of,
 )
 from .errors import TuranL2Error
@@ -84,9 +82,7 @@ from .improvement import (
 )
 from .inequality import (
     certify_simplex_inequality,
-    duplicate_vertex,
     margin,
-    s_spread,
     verify_simplex_inequality,
 )
 

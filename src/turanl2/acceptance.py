@@ -366,10 +366,15 @@ def run_suite(
 ) -> list[CriterionResult]:
     """Run the selected criteria (all twelve by default) and print one line
     each; a criterion named twice runs once.  ``quick`` runs each criterion
-    at its smoke scale; the pinned acceptance scales are the defaults."""
+    at its smoke scale; the pinned acceptance scales are the defaults.  An
+    unknown number is rejected before any criterion runs."""
+    selected = sorted(set(numbers or CRITERIA))
+    unknown = set(selected) - CRITERIA.keys()
+    if unknown:
+        raise InvalidArgument(f"no criterion {min(unknown)}")
     results = []
-    for number in sorted(set(numbers or CRITERIA)):
-        scale = CRITERIA[number].smoke if quick and number in CRITERIA else {}
+    for number in selected:
+        scale = CRITERIA[number].smoke if quick else {}
         result = run_criterion(number, **scale)
         printer(result.line())
         results.append(result)

@@ -25,8 +25,6 @@ from .constructions import (
     CYCLIC_TABLE,
     Partition3,
     construction,
-    cyclic_move_inequalities,
-    part_pair_counts,
 )
 from .errors import (
     EdgeNotCrossing,
@@ -37,7 +35,7 @@ from .errors import (
     SizeLimitExceeded,
     UnknownFamily,
 )
-from .hypergraph import Pair, ThreeGraph, Triple, link, normalize_pair
+from .hypergraph import Pair, ThreeGraph, Triple, normalize_pair
 
 FAMILY_IDS = ("B", "M", "B_int", "B_bi", "M_tri", "M_bi")
 
@@ -188,7 +186,8 @@ def optimize_partition(
     omitted); repeatedly applies the first strictly improving single-vertex
     reassignment, scanning vertices from 0 and restarting the scan at 0
     after each improving move.  At the fixpoint no single move increases the
-    overlap, so the two link inequalities hold at every vertex.
+    overlap, so ``cyclic_move_inequalities`` holds on the link of every
+    vertex.
     """
     if mode == "exhaustive":
         if h.n > EXHAUSTIVE_PARTITION_CAP:
@@ -265,15 +264,6 @@ def _optimize_vertex_moves(
             if improved:
                 break
     return Partition3(parts), score
-
-
-def link_move_inequalities(h: ThreeGraph, p: Partition3, v: int) -> tuple[bool, bool]:
-    """The two link edge-count inequalities stating that moving ``v`` to either
-    other part does not increase the construction overlap."""
-    if p.n != h.n:
-        raise PartitionMismatch(f"partition covers {p.n} vertices, graph has {h.n}")
-    counts = part_pair_counts(link(h, v).edges, p.parts)
-    return cyclic_move_inequalities(counts, p.part_of(v))
 
 
 @dataclass(frozen=True)

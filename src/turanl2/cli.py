@@ -23,7 +23,7 @@ from .census import (
     census_k43,
     census_tripartite_triangle_free,
 )
-from .classification import classify_edges, family_stats, optimize_partition
+from .classification import FAMILY_IDS, classify_edges, family_stats, optimize_partition
 from .colored import (
     ColoredGraph,
     check_symmetrized_facts,
@@ -159,10 +159,7 @@ def cmd_classify(args) -> int:
         n=h.n,
         partition="".join(str(c) for c in p.parts),
         intersection=ec.intersection_size(),
-        families={
-            fam: family_stats(ec, fam).to_json_dict()
-            for fam in ("B", "M", "B_int", "B_bi", "M_tri", "M_bi")
-        },
+        families={fam: family_stats(ec, fam).to_json_dict() for fam in FAMILY_IDS},
     )
     _emit(args, payload)
     return 0

@@ -290,62 +290,6 @@ def c_l2_closed(c: Composition3) -> Fraction:
     return Fraction(c_l2_doubled(c), 2)
 
 
-@dataclass(frozen=True)
-class LowerBoundReport:
-    composition: Composition3
-    delta: Fraction
-    preconditions_met: bool
-    failed_preconditions: tuple[str, ...]
-    lhs: Fraction
-    rhs: Fraction
-    holds: Optional[bool]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "composition": list(self.composition.sizes),
-            "delta": self.delta,
-            "preconditions_met": self.preconditions_met,
-            "failed_preconditions": list(self.failed_preconditions),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-        }
-
-
-def c_lower_bound_check(delta: Fraction, c: Composition3) -> LowerBoundReport:
-    """Check the quartic lower bound n^4/6 - 2*delta*n^4 for the closed form.
-
-    Preconditions (every part fraction at least 1/3 - delta, and
-    n >= 9 / (2*delta^2)) are evaluated and reported; an unmet precondition
-    is recorded, not raised, and the inequality is then not asserted.
-    """
-    delta = Fraction(delta)
-    n = c.n
-    failed = []
-    if not (0 < delta < Fraction(1, 3)):
-        failed.append("delta-in-open-interval")
-    if n == 0:
-        failed.append("empty-composition")
-    else:
-        for i, size in enumerate(c.sizes, start=1):
-            if Fraction(size, n) < Fraction(1, 3) - delta:
-                failed.append(f"part-{i}-fraction-too-small")
-        if delta != 0 and n < Fraction(9, 2 * delta * delta):
-            failed.append("n-below-threshold")
-    lhs = c_l2_closed(c)
-    rhs = Fraction(n**4, 6) - 2 * delta * n**4
-    met = not failed
-    return LowerBoundReport(
-        composition=c,
-        delta=delta,
-        preconditions_met=met,
-        failed_preconditions=tuple(failed),
-        lhs=lhs,
-        rhs=rhs,
-        holds=(lhs >= rhs) if met else None,
-    )
-
-
 # The balancedness move families: (name, parametrized old/new compositions,
 # gain polynomial).  Each is an exact identity in the parameter; the sweep
 # instantiates every family member whose sizes are nonnegative and sum to n.

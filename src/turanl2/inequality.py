@@ -1,4 +1,4 @@
-"""Exact verification of the simplex inequality and the 2-norm-degree spread.
+"""Exact verification of the simplex inequality.
 
 The inequality: for nonnegative x1 + x2 + x3 = 1,
 
@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InvalidArgument, SameVertex
-from .hypergraph import ThreeGraph, link, two_norm_degree
+from .errors import InvalidArgument
 
 THIRD = Fraction(1, 3)
 CENTER_RADIUS = Fraction(2, 25)  # sup-norm ball where the center lemma applies
@@ -56,14 +55,6 @@ def inequality_rhs(x1: Fraction, x2: Fraction, x3: Fraction) -> Fraction:
 
 def margin(x1: Fraction, x2: Fraction, x3: Fraction) -> Fraction:
     return inequality_rhs(x1, x2, x3) - inequality_lhs(x1, x2, x3)
-
-
-def margin_centered(u1: Fraction, u2: Fraction, u3: Fraction) -> Fraction:
-    """The same margin through the recentered identity (u_i = x_i - 1/3)."""
-    q = u1 * u1 + u2 * u2 + u3 * u3
-    p = u1 * u2 * u3
-    d = -(u1 - u2) * (u2 - u3) * (u3 - u1)
-    return Fraction(11, 75) * q - (p + d) / 4
 
 
 @dataclass(frozen=True)
@@ -274,63 +265,3 @@ def certify_simplex_inequality(min_width: Fraction = Fraction(1, 10**6)) -> Cert
         undecided=tuple(undecided),
         max_depth=max_depth,
     )
-
-
-def center_lemma_floor(m: Fraction) -> Fraction:
-    """The exact lower bound (11/50) m^2 - (9/4) m^3 used by the certificate."""
-    m = Fraction(m)
-    return Fraction(11, 50) * m * m - Fraction(9, 4) * m * m * m
-
-
-# --- 2-norm-degree spread ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpreadReport:
-    values: tuple[int, ...]
-    max_pair_gap: int
-    vs_average_gap: Fraction
-    reference_bound: int
-    within_reference_bound: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "values": list(self.values),
-            "max_pair_gap": self.max_pair_gap,
-            "vs_average_gap": self.vs_average_gap,
-            "reference_bound": self.reference_bound,
-            "within_reference_bound": self.within_reference_bound,
-        }
-
-
-def s_spread(h: ThreeGraph) -> SpreadReport:
-    """All 2-norm degrees, their largest pairwise gap, and the largest
-    deviation from the average.  The 60 n^2 comparison is informational:
-    it is a property of extremal graphs, not of arbitrary input."""
-    values = tuple(two_norm_degree(h, v) for v in range(h.n))
-    if not values:
-        return SpreadReport((), 0, Fraction(0), 0, True)
-    gap = max(values) - min(values)
-    avg = Fraction(sum(values), len(values))
-    dev = max(abs(Fraction(v) - avg) for v in values)
-    bound = 60 * h.n * h.n
-    return SpreadReport(values, gap, dev, bound, gap <= bound and dev <= bound)
-
-
-def duplicate_vertex(h: ThreeGraph, u: int, v: int) -> ThreeGraph:
-    """Make ``v`` a twin of ``u``: drop v's edges, then add {v} | e for every
-    pair e in the link of u that does not touch v.
-
-    The two copies end up nonadjacent with identical links, so their 2-norm
-    degrees agree; tetrahedron-freeness is preserved.
-    """
-    if u == v:
-        raise SameVertex("duplication needs two distinct vertices")
-    lk = link(h, u)
-    remove = [t for t in h.edges if v in t]
-    add = [
-        tuple(sorted((v, a, b)))
-        for a, b in lk.edges
-        if v != a and v != b
-    ]
-    return h.with_changes(add=add, remove=remove)

@@ -8,8 +8,9 @@ tripartite census's maximizers come from a decomposition over the bipartite
 graphs between two parts, the cyclic construction is recounted from the
 part counts of every triple, the driver's queues come from a scan of every
 pair, the simplex certificate and grid sweep are rerun in Fraction
-arithmetic, and the two toggle checklists are written out separately, one
-body per phase.
+arithmetic, the recentered margin and the center lemma's floor are written
+out as the formulas the certificate's argument states, and the two toggle
+checklists are written out separately, one body per phase.
 """
 
 import itertools
@@ -188,6 +189,20 @@ def _as_interval(v) -> Interval:
         return v
     f = Fraction(v)
     return Interval(f, f)
+
+
+def margin_centered(u1: Fraction, u2: Fraction, u3: Fraction) -> Fraction:
+    """The simplex margin through the recentered identity (u_i = x_i - 1/3)."""
+    q = u1 * u1 + u2 * u2 + u3 * u3
+    p = u1 * u2 * u3
+    d = -(u1 - u2) * (u2 - u3) * (u3 - u1)
+    return Fraction(11, 75) * q - (p + d) / 4
+
+
+def center_lemma_floor(m: Fraction) -> Fraction:
+    """The center lemma's lower bound (11/50) m^2 - (9/4) m^3 on the margin."""
+    m = Fraction(m)
+    return Fraction(11, 50) * m * m - Fraction(9, 4) * m * m * m
 
 
 def oracle_margin_interval_centered(x1: Interval, x2: Interval, x3: Interval) -> Interval:

@@ -27,8 +27,8 @@ from turanl2.hypergraph import (
     graph_l2_norm,
     l2_norm,
     make_pair_graph,
+    two_norm_degree,
 )
-from turanl2.inequality import s_spread
 from turanl2.util import dump_json
 
 
@@ -70,12 +70,16 @@ class TestK43Census:
                 assert l2_norm(h) == rep.optimum
 
     def test_census_winner_spread_is_small(self):
-        # the 2-norm-degree spread diagnostic on extremal graphs
+        # extremal graphs have 2-norm degrees within 60 n^2 of each other
+        # and of their mean
         for n in (4, 5, 6):
             rep = census_k43(n, method="canonical")
             for form in rep.extremal:
                 h = ThreeGraph(n, form, _normalized=True)
-                assert s_spread(h).within_reference_bound
+                values = [two_norm_degree(h, v) for v in range(n)]
+                bound = 60 * n * n
+                assert max(values) - min(values) <= bound
+                assert all(abs(n * v - sum(values)) <= n * bound for v in values)
 
     def _sabotage(self, monkeypatch, forbidden=None, raise_floor=0):
         search = census._max_free_subsets

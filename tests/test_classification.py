@@ -26,17 +26,18 @@ from turanl2.classification import (
     classify_edges,
     construction_edges,
     family_stats,
-    link_move_inequalities,
     optimize_partition,
 )
-from turanl2.colored import ColoredGraph, Partition3
 from turanl2.constructions import (
     Composition3,
+    Partition3,
     build_balanced_c,
     build_c,
     construction,
     cyclic_move_inequalities,
+    next_part,
     part_pair_counts,
+    prev_part,
 )
 from turanl2.errors import (
     EdgeNotCrossing,
@@ -279,28 +280,39 @@ class TestOptimizePartition:
             h = random_graph(rng, n, rng.random() * 0.5)
             p, _ = optimize_partition(h, "vertexMoves")
             for v in range(n):
-                first, second = link_move_inequalities(h, p, v)
-                assert first and second
+                counts = part_pair_counts(link(h, v).edges, p.parts)
+                assert cyclic_move_inequalities(counts, p.parts[v]) == (True, True)
 
     def test_size_cap(self):
         with pytest.raises(SizeLimitExceeded):
             optimize_partition(make_graph(13, []), "exhaustive")
 
-    def test_link_move_inequalities_are_the_colored_move_inequalities(self, rng):
+    def test_mismatched_partitions_are_rejected(self):
+        h = make_graph(5, [(0, 1, 2), (1, 3, 4)])
+        for n in (4, 6):
+            with pytest.raises(PartitionMismatch):
+                classify_edges(h, Partition3.balanced(n))
+            with pytest.raises(PartitionMismatch):
+                optimize_partition(h, "vertexMoves", Partition3.balanced(n))
+
+    def test_link_move_inequalities_match_a_move_recount(self, rng):
+        # on the link of v, the two inequalities say that moving v to the next
+        # or to the previous part does not raise the construction overlap
+        def overlap(h, parts):
+            return sum(1 for t in h.edges if is_construction_edge(t, Partition3(parts)))
+
         for _ in range(200):
             n = rng.randint(1, 10)
             h = random_graph(rng, n, rng.random() * 0.6)
             p = Partition3(tuple(rng.choice((1, 2, 3)) for _ in range(n)))
             v = rng.randrange(n)
-            cg = ColoredGraph(link(h, v), p)
-            counts = part_pair_counts(cg.graph.edges, cg.partition.parts)
-            assert link_move_inequalities(h, p, v) == cyclic_move_inequalities(counts, p.parts[v])
-
-    def test_link_move_inequalities_rejects_mismatched_partition(self):
-        h = make_graph(5, [(0, 1, 2), (1, 3, 4)])
-        for n in (4, 6):
-            with pytest.raises(PartitionMismatch):
-                link_move_inequalities(h, Partition3.balanced(n), 0)
+            here = overlap(h, p.parts)
+            moved = [
+                here >= overlap(h, p.parts[:v] + (part,) + p.parts[v + 1:])
+                for part in (next_part(p.parts[v]), prev_part(p.parts[v]))
+            ]
+            counts = part_pair_counts(link(h, v).edges, p.parts)
+            assert cyclic_move_inequalities(counts, p.parts[v]) == tuple(moved)
 
 
 class TestHypothesisChecklists:

@@ -290,6 +290,7 @@ def test_argument_errors_exit_2(tmp_path, capsys):
     improve = ["improve", "--input", str(stem.with_suffix(".h3")),
                "--partition", str(stem.with_suffix(".p3"))]
     for argv, needle in ((["check", "--suite", "13"], "no criterion 13"),
+                         (["check", "--suite", "2,13"], "no criterion 13"),
                          (["check", "--suite", "x"], "--suite"),
                          (["check", "--suite", ""], "--suite"),
                          (["construct", "--sizes", "a,b,c"], "--sizes"),

@@ -10,7 +10,6 @@ from turanl2.constructions import (
     build_balanced_c,
     build_c,
     c_l2_closed,
-    c_lower_bound_check,
     compositions_of,
     sweep_csv,
 )
@@ -79,15 +78,14 @@ def test_closed_form_not_reflection_invariant():
 
 
 def test_lower_bound_check():
-    rep = c_lower_bound_check(Fraction(1, 12), Composition3(216, 216, 216))
-    assert rep.preconditions_met and rep.holds
-    # smallest n allowed for delta = 1/4 is ceil(9 / (2 * (1/4)^2)) = 72
-    rep2 = c_lower_bound_check(Fraction(1, 4), Composition3(24, 24, 24))
-    assert rep2.preconditions_met and rep2.holds
-    rep3 = c_lower_bound_check(Fraction(1, 12), Composition3(648, 0, 0))
-    assert not rep3.preconditions_met
-    assert "part-2-fraction-too-small" in rep3.failed_preconditions
-    assert rep3.holds is None
+    # the quartic bound n^4/6 - 2 delta n^4 at two compositions whose parts
+    # are at least (1/3 - delta) n with n >= 9 / (2 delta^2)
+    for delta, c in ((Fraction(1, 12), Composition3(216, 216, 216)),
+                     # smallest n allowed for delta = 1/4 is 9 / (2 * (1/4)^2) = 72
+                     (Fraction(1, 4), Composition3(24, 24, 24))):
+        n = c.n
+        assert n >= Fraction(9, 2) / delta**2
+        assert c_l2_closed(c) >= Fraction(n**4, 6) - 2 * delta * n**4
 
 
 def test_balanced_builder():

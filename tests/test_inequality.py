@@ -8,27 +8,23 @@ from hypothesis import strategies as st
 
 from conftest import (
     Interval,
+    center_lemma_floor,
+    margin_centered,
     oracle_certify_simplex_inequality,
-    oracle_contains_complete,
     oracle_margin_interval_centered,
     oracle_verify_simplex_inequality,
-    random_graph,
 )
-from turanl2.errors import InvalidArgument, SameVertex
-from turanl2.hypergraph import contains_k43, l2_norm, make_graph, two_norm_degree
+from turanl2.errors import InvalidArgument
+from turanl2.hypergraph import make_graph, two_norm_degree
 from turanl2.inequality import (
     CENTER_RADIUS,
     THIRD,
     _margin_centered_lower,
     _times,
-    center_lemma_floor,
     certify_simplex_inequality,
-    duplicate_vertex,
     inequality_lhs,
     inequality_rhs,
     margin,
-    margin_centered,
-    s_spread,
     verify_simplex_inequality,
 )
 
@@ -202,22 +198,24 @@ def test_certificate_json_is_exact():
     assert isinstance(d["min_width"], Fraction) or "/" in str(d["min_width"])
 
 
+def _two_norm_degrees(h) -> list[int]:
+    return [two_norm_degree(h, v) for v in range(h.n)]
+
+
 class TestSpread:
+    """Spreads of the 2-norm degrees on symmetric graphs."""
+
     def test_single_edge_symmetric(self):
-        h = make_graph(3, [[0, 1, 2]])
-        report = s_spread(h)
-        assert report.values == (3, 3, 3)
-        assert report.max_pair_gap == 0 and report.vs_average_gap == 0
+        assert _two_norm_degrees(make_graph(3, [[0, 1, 2]])) == [3, 3, 3]
 
     def test_complete_graphs_are_transitive(self):
         for n in range(3, 6):
             h = make_graph(n, itertools.combinations(range(n), 3))
-            report = s_spread(h)
-            assert report.max_pair_gap == 0
+            assert len(set(_two_norm_degrees(h))) == 1
 
     def test_three_symmetric_vertices_of_tetrahedron_minus_edge(self):
         h = make_graph(4, [[0, 1, 2], [0, 1, 3], [0, 2, 3]])
-        values = s_spread(h).values
+        values = _two_norm_degrees(h)
         # vertices 1, 2, 3 play the same role; 0 sits in every edge
         assert values[1] == values[2] == values[3]
 
@@ -225,46 +223,8 @@ class TestSpread:
         from turanl2.constructions import build_balanced_c
 
         c6, _ = build_balanced_c(6)
-        report = s_spread(c6)
-        assert report.max_pair_gap == 0  # every vertex is equivalent by symmetry
-        assert report.within_reference_bound
+        # every vertex is equivalent by symmetry
+        assert len(set(_two_norm_degrees(c6))) == 1
 
     def test_empty(self):
-        assert s_spread(make_graph(0, [])).max_pair_gap == 0
-
-
-class TestDuplicateVertex:
-    def test_single_edge_example(self):
-        h = make_graph(4, [[0, 1, 2]])
-        out = duplicate_vertex(h, 0, 3)
-        assert out.edges == ((0, 1, 2), (1, 2, 3))
-
-    def test_isolated_source(self):
-        h = make_graph(4, [[1, 2, 3]])
-        out = duplicate_vertex(h, 0, 1)  # duplicate the isolated vertex 0 onto 1
-        assert out.edges == ()
-
-    def test_rejects_same_vertex(self):
-        with pytest.raises(SameVertex):
-            duplicate_vertex(make_graph(3, []), 1, 1)
-
-    def test_copies_get_equal_two_norm_degrees(self, rng):
-        for _ in range(100):
-            n = rng.randint(4, 8)
-            h = random_graph(rng, n, rng.random() * 0.5)
-            u, v = rng.sample(range(n), 2)
-            out = duplicate_vertex(h, u, v)
-            assert two_norm_degree(out, u) == two_norm_degree(out, v)
-
-    def test_preserves_tetrahedron_freeness(self, rng):
-        done = 0
-        while done < 100:
-            n = rng.randint(4, 8)
-            h = random_graph(rng, n, rng.random() * 0.4)
-            if contains_k43(h):
-                continue
-            u, v = rng.sample(range(n), 2)
-            out = duplicate_vertex(h, u, v)
-            assert not contains_k43(out)
-            assert not oracle_contains_complete(out, 4)
-            done += 1
+        assert _two_norm_degrees(make_graph(0, [])) == []

@@ -18,7 +18,9 @@ squares are counted in one routine; one runtime check counts the reference
 sweeps per census.  Each acceptance criterion's name and time cap are written
 only in the ``CRITERIA`` table, and only ``run_criterion`` reads the clock
 there; census reports carry no clock, so ``cmd_census`` is the clock's one
-other reader.
+other reader.  The public names that no library module and no benchmark
+reaches are a written list, so a helper only tests call shows up here, and
+``inequality`` holds the simplex inequality alone, with no 3-graph import.
 """
 
 import ast
@@ -27,6 +29,7 @@ from pathlib import Path
 import turanl2
 
 SRC = Path(turanl2.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 CORE = ("hypergraph", "constructions", "classification", "improvement")
 
 
@@ -306,3 +309,70 @@ def test_census_reports_carry_no_clock():
     ]
     fields = [node for node in report.body if isinstance(node, ast.AnnAssign)]
     assert fields and not [ast.unparse(f) for f in fields if ast.unparse(f.annotation) == "float"]
+
+
+def _public_definitions() -> dict:
+    """Qualified name -> bare name of every public module-level function and
+    class, and every public method, in ``src/turanl2``."""
+    found = {}
+    for path in SRC.glob("*.py"):
+        for node in _tree(path.stem).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                found[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        found[f"{path.stem}.{node.name}.{sub.name}"] = sub.name
+    return found
+
+
+def _referenced_names(tree: ast.AST) -> set:
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_public_names_no_library_module_or_benchmark_reaches_are_listed():
+    referenced = set()
+    for path in SRC.glob("*.py"):
+        if path.stem != "__init__":
+            referenced |= _referenced_names(_tree(path.stem))
+    for path in PERFBENCH.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        referenced |= _referenced_names(tree)
+        if path.name == "run.py":
+            # traced spans name their targets as "module:qualname" strings
+            for node in ast.walk(tree):
+                value = node.value if isinstance(node, ast.Constant) else None
+                if isinstance(value, str) and value.startswith("turanl2.") and ":" in value:
+                    referenced.update(value.partition(":")[2].split("."))
+    unreached = {qualified for qualified, name in _public_definitions().items() if name not in referenced}
+    assert unreached == {
+        "colored.DirectedView.longest_directed_path",
+        "colored.class_symmetrize",
+        "colored.degree_sum_on_path",
+        "colored.is_locally_maximal",
+        "colored.is_locally_symmetrized",
+        "colored.rho3",
+        "colored.symmetrize",
+        "hypergraph.Graph.has_edge",
+        "hypergraph.ThreeGraph.has_edge",
+        "hypergraph.link",
+        "hypergraph.shadow",
+        "improvement.build_queues",
+        "inequality.margin",
+    }
+
+
+def test_inequality_imports_nothing_from_hypergraph():
+    imported = set()
+    for node in ast.walk(_tree("inequality")):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported == {"__future__", "dataclasses", "fractions", "typing", ".errors"}
