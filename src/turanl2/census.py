@@ -11,9 +11,12 @@ of forbidden masks: the four triples of a 4-set, a cyclic triangle, a
 transversal triangle.  Every census searches by covers, with
 :func:`_max_free_subsets`, floored at its reference construction's value;
 the full scan :func:`_free_subsets` is kept as the cross-check (the naive
-K4^3 method and acceptance criterion 12).  Degree and codegree squares are
-counted by :func:`_square_sum`.  The classes are closed by orbit counts in
-:func:`_classes`: one maximizer per isomorphism class is canonicalized, and
+K4^3 method and acceptance criterion 12).  Every objective is a square sum
+over group masks, counted by :func:`_square_sum`: codegree squares, degree
+squares, and the edge count as the square sum over one-element groups; the
+cover search counts it in full at its root and by differences below.  The
+classes are closed by orbit counts in :func:`_classes`: one maximizer per
+isomorphism class is canonicalized, and
 the orbits found must add up to the labelled maximizers.  Colored graphs
 are compared up to color-preserving relabeling by
 :func:`hypergraph.least_relabeling`.
@@ -106,10 +109,11 @@ def census_k43(n: int, method: str = "canonical") -> CensusReport:
 
     canonical: :func:`_max_free_subsets`, a branch and bound over the minimal
     covers of the tetrahedra, with the reference construction's value as its
-    floor and l2 counted by :func:`_square_sum` over per-pair triple masks.
-    l2 strictly rises when a triple is added, so every maximizer is a
-    maximal tetrahedron-free set and the search reaches each labelled
-    maximizer once.
+    floor and l2 the :func:`_square_sum` over per-pair triple masks: counted
+    in full for all triples, then each child's from its parent's by three
+    popcounts, one per pair of the dropped triple.  l2 strictly rises when
+    a triple is added, so every maximizer is a maximal tetrahedron-free set
+    and the search reaches each labelled maximizer once.
 
     naive: scan all tetrahedron-free triple subsets and count l2 on a
     ``ThreeGraph`` (for cross-validation; n <= 5).
@@ -138,7 +142,7 @@ def census_k43(n: int, method: str = "canonical") -> CensusReport:
     else:
         pairs = itertools.combinations(range(n), 2)
         codegree = _subset_masks(triples, ([t for t in triples if {a, b} <= set(t)] for a, b in pairs))
-        best, argmax, nodes = _max_free_subsets(triples, tetrahedra, _square_sum(codegree), ref_value)
+        best, argmax, nodes = _max_free_subsets(triples, tetrahedra, codegree, ref_value)
 
     def canonical(edges):
         form, _, automorphisms = least_relabeling(
@@ -205,14 +209,15 @@ def _free_subsets(
 
 
 def _max_free_subsets(
-    ground: Sequence, forbidden: Sequence[int], value: Callable[[int], int], floor: int
+    ground: Sequence, forbidden: Sequence[int], groups: Sequence[int], floor: int
 ) -> tuple[int, list[list], int]:
-    """Every subset of ``ground`` containing no forbidden mask whose ``value``
-    is largest, by branch and bound over the covers of the forbidden masks.
+    """Every subset of ``ground`` containing no forbidden mask whose
+    :func:`_square_sum` over ``groups`` is largest, by branch and bound over
+    the covers of the forbidden masks.
 
-    ``value`` takes a subset as a bitmask and must strictly rise when an
-    element is added, so every maximizer is a maximal free subset.  The
-    search starts from the whole ground set and branches on the first
+    Every element must lie in some group, so that the value strictly rises
+    when an element is added and every maximizer is a maximal free subset.
+    The search starts from the whole ground set and branches on the first
     forbidden mask the current set still contains: the i-th branch drops
     the i-th unpinned member of that mask and pins the members before it.
     The branches are disjoint and every maximal free subset is a leaf, so
@@ -220,18 +225,28 @@ def _max_free_subsets(
     every subset below it, is under the best so far.  ``floor`` is a value
     that some free subset attains; it seeds the best.
 
+    Each node carries what its parent established: its value, the parent's
+    less the drop of the element it lost, and where its scan of
+    ``forbidden`` starts, just past the parent's branching mask, since a
+    subset contains none of the masks its superset does not contain.
+
     Returns the best value, the maximizing subsets (each listed in ground
     order) and the number of nodes visited.
     """
+    whole = (1 << len(ground)) - 1
+    value, drop = _square_sum(groups, len(ground))
     best, argmax, nodes = floor, [], 0
-    stack = [((1 << len(ground)) - 1, 0)]  # (current set, pinned members)
+    stack = [(whole, 0, value, 0)]  # (current set, pinned members, value, scan start)
+    pop, push = stack.pop, stack.append
+    count = len(forbidden)
     while stack:
-        mask, pinned = stack.pop()
+        mask, pinned, v, j = pop()
         nodes += 1
-        v = value(mask)
         if v < best:
             continue
-        for f in forbidden:
+        while j < count:
+            f = forbidden[j]
+            j += 1
             if mask & f == f:
                 break
         else:
@@ -242,26 +257,38 @@ def _max_free_subsets(
         branch = f & ~pinned
         while branch:
             bit = branch & -branch
-            stack.append((mask ^ bit, pinned))
+            push((mask ^ bit, pinned, v - drop(mask, bit), j))
             pinned |= bit
             branch ^= bit
     assert argmax, f"no free subset reaches the floor {floor}"
     return best, [[x for i, x in enumerate(ground) if m >> i & 1] for m in argmax], nodes
 
 
-def _square_sum(groups: Sequence[int]) -> Callable[[int], int]:
-    """The value that sums, over the group masks, the squared number of a
-    subset's elements in each group: codegree squares over per-pair triple
-    masks, degree squares over per-vertex pair masks."""
+def _square_sum(groups: Sequence[int], size: int) -> tuple[int, Callable[[int, int], int]]:
+    """The sum, over the group masks, of the squared number of a subset's
+    elements in each group: codegree squares over per-pair triple masks,
+    degree squares over per-vertex pair masks, the element count over
+    one-element masks.
 
-    def square_sum(mask: int) -> int:
-        total = 0
-        for g in groups:
-            d = (mask & g).bit_count()
-            total += d * d
-        return total
+    Returns the value of the whole set of ``size`` elements, counted in
+    full, and the drop ``drop(mask, bit)``: removing the element ``bit``
+    from ``mask`` lowers each group g holding it from d = |mask & g| to
+    d - 1 squared, so the value falls by the sum of 2d - 1 over those groups.
+    """
+    whole = (1 << size) - 1
+    total = 0
+    for g in groups:
+        d = (whole & g).bit_count()
+        total += d * d
+    holders = {1 << i: [g for g in groups if g >> i & 1] for i in range(size)}
 
-    return square_sum
+    def drop(mask: int, bit: int) -> int:
+        fall = 0
+        for g in holders[bit]:
+            fall += 2 * (mask & g).bit_count() - 1
+        return fall
+
+    return total, drop
 
 
 def _classes(argmax: list, canonical: Callable, group_order: int) -> set:
@@ -354,11 +381,10 @@ def _mantel_exhaustive(n: int, objective: str) -> CensusReport:
     color = [1] * n + [2] * n + [3] * n
     cyclic = _subset_masks(pairs, (itertools.combinations(t, 2) for t in cyclic_triples(color)))
     if objective == "edges":
-        value = int.bit_count
+        groups = [1 << i for i in range(len(pairs))]
     else:
-        degree = _subset_masks(pairs, ([p for p in pairs if v in p] for v in range(big_n)))
-        value = _square_sum(degree)
-    best, argmax, nodes = _max_free_subsets(pairs, cyclic, value, _lambda_value(n, objective))
+        groups = _subset_masks(pairs, ([p for p in pairs if v in p] for v in range(big_n)))
+    best, argmax, nodes = _max_free_subsets(pairs, cyclic, groups, _lambda_value(n, objective))
     order = len(ROTATIONS) * math.factorial(n) ** 3
     rotated = _classes(argmax, lambda edges: _colored_canonical(edges, n, ROTATIONS), order)
     forms = set().union(*rotated)
@@ -540,7 +566,9 @@ def census_tripartite_triangle_free(n: int) -> CensusReport:
         raise SizeLimitExceeded(f"tripartite census capped at part size {TRIPARTITE_CAP}")
     if n < 0:
         raise VertexOutOfRange("vertex count must be nonnegative")
-    optimum, argmax, nodes = _max_free_subsets(*_tripartite_ground(n), int.bit_count, 2 * n * n)
+    cross, transversal = _tripartite_ground(n)
+    singletons = [1 << i for i in range(len(cross))]
+    optimum, argmax, nodes = _max_free_subsets(cross, transversal, singletons, 2 * n * n)
     split = _split_forms(n)
     mismatches = [edges for edges in argmax if frozenset(edges) not in split]
     order = len(PART_PERMUTATIONS) * math.factorial(n) ** 3

@@ -214,27 +214,34 @@ def certify_simplex_inequality(min_width: Fraction = Fraction(1, 10**6)) -> Cert
     radius_num = 3 * CENTER_RADIUS.numerator
     radius_den = CENTER_RADIUS.denominator
     stack = [(0, 1, 0, 1, 0)]
+    pop, push = stack.pop, stack.append
     certified_interval = 0
     certified_center = 0
     skipped = 0
     undecided = []
     max_depth = 0
     while stack:
-        a1, b1, a2, b2, depth = stack.pop()
-        max_depth = max(max_depth, depth)
+        a1, b1, a2, b2, depth = pop()
+        if depth > max_depth:
+            max_depth = depth
         one = 1 << depth
-        if a1 + a2 > one:
+        x3_hi = one - a1 - a2
+        if x3_hi < 0:
             skipped += 1
             continue
-        x3_lo = max(0, one - b1 - b2)
-        x3_hi = one - a1 - a2
+        x3_lo = one - b1 - b2
+        if x3_lo < 0:
+            x3_lo = 0
         # center lemma: entire box within sup-distance 2/25 of the barycenter,
         # read off its lowest and highest ends (x3_lo <= x3_hi past the skip)
+        low = a1 if a1 < a2 else a2
+        if x3_lo < low:
+            low = x3_lo
+        high = b1 if b1 > b2 else b2
+        if x3_hi > high:
+            high = x3_hi
         limit = radius_num * one
-        if (
-            radius_den * (one - 3 * min(a1, a2, x3_lo)) <= limit
-            and radius_den * (3 * max(b1, b2, x3_hi) - one) <= limit
-        ):
+        if radius_den * (one - 3 * low) <= limit and radius_den * (3 * high - one) <= limit:
             certified_center += 1
             continue
         if _margin_centered_lower(
@@ -244,19 +251,19 @@ def certify_simplex_inequality(min_width: Fraction = Fraction(1, 10**6)) -> Cert
             continue
         w1 = b1 - a1
         w2 = b2 - a2
-        if max(w1, w2) * width_den < width_num * one:
+        if (w1 if w1 > w2 else w2) * width_den < width_num * one:
             undecided.append(tuple(Fraction(v, one) for v in (a1, b1, a2, b2)))
             continue
         # one level down every coordinate doubles and [a, b] splits at a + b
         depth += 1
         if w1 >= w2:
             mid = a1 + b1
-            stack.append((2 * a1, mid, 2 * a2, 2 * b2, depth))
-            stack.append((mid, 2 * b1, 2 * a2, 2 * b2, depth))
+            push((2 * a1, mid, 2 * a2, 2 * b2, depth))
+            push((mid, 2 * b1, 2 * a2, 2 * b2, depth))
         else:
             mid = a2 + b2
-            stack.append((2 * a1, 2 * b1, 2 * a2, mid, depth))
-            stack.append((2 * a1, 2 * b1, mid, 2 * b2, depth))
+            push((2 * a1, 2 * b1, 2 * a2, mid, depth))
+            push((2 * a1, 2 * b1, mid, 2 * b2, depth))
     return CertificateReport(
         min_width=min_width,
         boxes_certified_interval=certified_interval,

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's optimized paths: norms and
 codegree tables are recounted from raw pair iteration, canonical forms are minimized over every
-permutation, the K4^3 census's classes come from canonicalizing every labelled
+permutation, the census cover search recounts every node's value from
+scratch, the K4^3 census's classes come from canonicalizing every labelled
 maximizer, subgraph searches enumerate vertex subsets directly, the
 tripartite census's maximizers come from a decomposition over the bipartite
 graphs between two parts, the cyclic construction is recounted from the
@@ -75,6 +76,41 @@ def oracle_census_classes(n: int, maximizers) -> set:
     """The K4^3 census's classes the direct way: the canonical form of every
     labelled maximizer, with no orbit counting."""
     return {canonical_form(ThreeGraph(n, edges, _normalized=True))[0] for edges in maximizers}
+
+
+def oracle_max_free_subsets(ground, forbidden, groups, floor):
+    """The census cover search with each node's square sum over ``groups``
+    recounted in full and each node's scan of ``forbidden`` started at the
+    first mask: the same tree, walked with nothing carried from parent to
+    child.  Returns (best, maximizers in ground order, nodes visited)."""
+
+    def value(mask):
+        return sum((mask & g).bit_count() ** 2 for g in groups)
+
+    best, argmax, nodes = floor, [], 0
+    stack = [((1 << len(ground)) - 1, 0)]  # (current set, pinned members)
+    while stack:
+        mask, pinned = stack.pop()
+        nodes += 1
+        v = value(mask)
+        if v < best:
+            continue
+        for f in forbidden:
+            if mask & f == f:
+                break
+        else:
+            if v > best:
+                best, argmax = v, []
+            argmax.append(mask)
+            continue
+        branch = f & ~pinned
+        while branch:
+            bit = branch & -branch
+            stack.append((mask ^ bit, pinned))
+            pinned |= bit
+            branch ^= bit
+    assert argmax, f"no free subset reaches the floor {floor}"
+    return best, [[x for i, x in enumerate(ground) if m >> i & 1] for m in argmax], nodes
 
 
 def _maximum_independent_sets(ground: list[int], edges) -> list[tuple[int, ...]]:

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_census_classes, oracle_tripartite_decompose, random_graph
+from conftest import (
+    oracle_census_classes,
+    oracle_max_free_subsets,
+    oracle_tripartite_decompose,
+    random_graph,
+)
 from turanl2 import census, hypergraph
 from turanl2.census import (
     _blowup_value,
@@ -84,10 +89,10 @@ class TestK43Census:
     def _sabotage(self, monkeypatch, forbidden=None, raise_floor=0):
         search = census._max_free_subsets
 
-        def sabotaged(ground, tetrahedra, value, floor):
+        def sabotaged(ground, tetrahedra, groups, floor):
             if forbidden is not None:
                 tetrahedra = forbidden(ground)
-            return search(ground, tetrahedra, value, floor + raise_floor)
+            return search(ground, tetrahedra, groups, floor + raise_floor)
 
         monkeypatch.setattr(census, "_max_free_subsets", sabotaged)
 
@@ -153,8 +158,8 @@ def test_a_dropped_maximizer_fails_loudly_in_the_colored_censuses(key, drop, mon
 def test_a_floor_above_the_optimum_fails_loudly_in_the_colored_censuses(key, monkeypatch):
     search = census._max_free_subsets
 
-    def raised(ground, forbidden, value, floor):
-        return search(ground, forbidden, value, floor + 1)
+    def raised(ground, forbidden, groups, floor):
+        return search(ground, forbidden, groups, floor + 1)
 
     monkeypatch.setattr(census, "_max_free_subsets", raised)
     with pytest.raises(AssertionError):
@@ -556,3 +561,51 @@ def test_report_content_is_pinned(key):
     content = _report(*key).to_json_dict()
     del content["nodes_explored"]
     assert hashlib.sha256(dump_json(content).encode()).hexdigest() == CONTENT_DIGESTS[key]
+
+
+def _search_outcome(search, *args):
+    """The search's (best, maximizers, nodes), or its refusal when no free
+    subset reaches the floor."""
+    try:
+        return search(*args)
+    except AssertionError:
+        return "refused"
+
+
+# every census configuration above that runs the cover search
+SEARCH_CONFIGURATIONS = [key for key in REPORT_DIGESTS if key[1] not in ("naive", "assisted")]
+
+
+@pytest.mark.parametrize("key", SEARCH_CONFIGURATIONS, ids=str)
+def test_cover_search_matches_the_full_recount_in_every_census(key, monkeypatch):
+    _, [(args, result)] = _recorded(key, monkeypatch)
+    assert result == oracle_max_free_subsets(*args)
+
+
+@st.composite
+def _search_problems(draw):
+    """A ground list, forbidden masks, groups covering every element, and a
+    floor near the value of some free subset (sometimes above the optimum)."""
+    size = draw(st.integers(1, 10))
+    ground = draw(st.lists(st.integers(-99, 99), min_size=size, max_size=size, unique=True))
+    whole = (1 << size) - 1
+    masks = st.integers(1, whole)
+    forbidden = draw(st.lists(masks, min_size=1, max_size=10))
+    groups = draw(st.lists(masks, max_size=6))
+    uncovered = whole & ~functools.reduce(int.__or__, groups, 0)
+    if uncovered:
+        groups.append(uncovered)
+    free = draw(st.integers(0, whole))
+    for f in forbidden:  # drop one member of each mask it still contains
+        if free & f == f:
+            free ^= f & -f
+    value = sum((free & g).bit_count() ** 2 for g in groups)
+    return ground, forbidden, groups, value + draw(st.integers(-3, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_search_problems())
+def test_cover_search_matches_the_full_recount(problem):
+    assert _search_outcome(census._max_free_subsets, *problem) == _search_outcome(
+        oracle_max_free_subsets, *problem
+    )

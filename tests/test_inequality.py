@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -143,6 +145,40 @@ def test_default_certificate_counts():
         cert.boxes_skipped_outside,
         cert.max_depth,
     ) == (181, 8, 9, 11)
+
+
+# The certificate at width 1/k, pinned for k = 1..200, 10^6 and 2^40: from
+# each listed k on, (boxes certified by interval, by the center lemma,
+# skipped, max depth, undecided boxes, sha256 of their JSON) until the next
+# row.  Boxes are dyadic, so the report changes only where 1/k crosses a
+# power of two.
+CERTIFICATE_PINS = [
+    (1, 0, 0, 0, 2, 4, "5f30baa8c1a6845835613e2c894adc6cd863ea3fb86477d907a4d0316cce6966"),
+    (2, 1, 0, 2, 4, 11, "07082d4dbbf0c152ce99dc553825a1ad4785fcbc3c6ec569868da70cc1f891af"),
+    (4, 10, 0, 5, 6, 28, "645d9c643bf07672be8d5b234df53d6f71aa371d1ea35006c054a736817bda41"),
+    (8, 53, 0, 9, 8, 49, "585a36dc4a08100a1622f1546ddd497e538851b8715ccf5a017f4b2288c78a4b"),
+    (16, 179, 6, 9, 10, 2, "c93d0a02735b712e4ad46bdbf03040ad2bdcff2cb29bc8440c7c710bd0b0fb16"),
+    (32, 181, 8, 9, 11, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+]
+
+
+def test_certificate_reports_are_pinned():
+    for k in (*range(1, 201), 10**6, 2**40):
+        _, interval, center, skipped, depth, boxes, digest = max(
+            pin for pin in CERTIFICATE_PINS if pin[0] <= k
+        )
+        report = certify_simplex_inequality(Fraction(1, k)).to_json_dict()
+        undecided = report.pop("undecided")
+        assert report == {
+            "min_width": Fraction(1, k),
+            "boxes_certified_interval": interval,
+            "boxes_certified_center": center,
+            "boxes_skipped_outside": skipped,
+            "max_depth": depth,
+            "certified": boxes == 0,
+        }, k
+        assert len(undecided) == boxes, k
+        assert hashlib.sha256(json.dumps(undecided).encode()).hexdigest() == digest, k
 
 
 def _dyadic_interval(depth):

@@ -14,11 +14,11 @@ K4^3 census's branch and bound canonicalizes no node and builds no graph,
 and the census no longer reaches for ``completes_k43``.  Every census
 searches by covers and closes its classes in one routine, the full scan is
 called only by the naive K4^3 method and acceptance criterion 12, and
-squares are counted in one routine; one runtime check counts the reference
-sweeps per census.  Each acceptance criterion's name and time cap are written
-only in the ``CRITERIA`` table, and only ``run_criterion`` reads the clock
-there; census reports carry no clock, so ``cmd_census`` is the clock's one
-other reader.  The public names that no library module and no benchmark
+squares are counted, in full and by differences, in one routine; one
+runtime check counts the reference sweeps per census.  Each acceptance
+criterion's name and time cap are written only in the ``CRITERIA`` table,
+and only ``run_criterion`` reads the clock there; census reports carry no
+clock, so ``cmd_census`` is the clock's one other reader.  The public names that no library module and no benchmark
 reaches are a written list, so a helper only tests call shows up here, and
 ``inequality`` holds the simplex inequality alone, with no 3-graph import.
 """
@@ -243,8 +243,19 @@ def test_census_squares_are_counted_in_one_routine():
     functions = _functions("census")
     counters = {name for name, node in functions.items() if _calls_named(node, "bit_count")}
     squarers = {name for name, node in functions.items() if _squares_a_name(node)}
-    # the outer routine and the value it returns
-    assert counters == squarers == {"_square_sum", "square_sum"}
+    # the outer routine counts the whole set in full, the drop it returns
+    # counts each branch's difference
+    assert counters == {"_square_sum", "drop"}
+    assert squarers == {"_square_sum"}
+    # only the cover search takes a value from it, and no census hands the
+    # search a popcount of its own
+    callers = {name for name, node in functions.items() if _calls_named(node, "_square_sum")}
+    assert callers == {"_max_free_subsets"}
+    popcounts = [
+        node for node in ast.walk(_tree("census"))
+        if isinstance(node, ast.Attribute) and node.attr == "bit_count"
+    ]
+    assert len(popcounts) == _calls_named(functions["_square_sum"], "bit_count") == 2
 
 
 def test_k43_census_sweeps_the_reference_once(monkeypatch):
