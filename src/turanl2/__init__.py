@@ -1,10 +1,11 @@
 """Exact l2-norm machinery for tetrahedron-free 3-graphs.
 
-Core objects: 3-graphs with codegree/link/shadow/norm primitives, the cyclic
-and bipartite extremal constructions with closed-form norms, vertex-colored
-Mantel symmetrization, bad/missing edge classification with local-improvement
-toggles and a two-phase driver, desk-scale extremal censuses, and exact
-verification of the supporting simplex inequality.
+Core objects: 3-graphs with codegree/norm primitives, the cyclic and
+bipartite extremal constructions with closed-form norms, vertex-colored
+Mantel symmetrization and the facts its fixpoint satisfies, bad/missing edge
+classification with local-improvement toggles and a two-phase driver,
+desk-scale extremal censuses, and exact verification of the supporting
+simplex inequality.
 """
 
 from .census import (
@@ -32,16 +33,9 @@ from .colored import (
     FactsReport,
     build_lambda,
     check_symmetrized_facts,
-    class_symmetrize,
-    degree_sum_on_path,
     equivalence_classes,
-    graph_l2_norm,
     is_cyclic_triangle_free,
-    is_locally_maximal,
-    is_locally_symmetrized,
     locally_symmetrize,
-    rho3,
-    symmetrize,
 )
 from .constructions import (
     Composition3,
@@ -58,24 +52,21 @@ from .hypergraph import (
     Graph,
     ThreeGraph,
     canonical_form,
-    codegree,
     contains_k43,
     count_s2,
     delete_vertex,
     find_k43,
+    graph_l2_norm,
     induce,
     l2_norm,
-    link,
     make_graph,
     make_pair_graph,
-    shadow,
     two_norm_degree,
 )
 from .improvement import (
     DeltaReport,
     DriverTrace,
     apply_toggle,
-    build_queues,
     generate_phase_instance,
     two_phase_driver,
     verify_toggle_increase,

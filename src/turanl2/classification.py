@@ -186,8 +186,11 @@ def optimize_partition(
     omitted); repeatedly applies the first strictly improving single-vertex
     reassignment, scanning vertices from 0 and restarting the scan at 0
     after each improving move.  At the fixpoint no single move increases the
-    overlap, so ``cyclic_move_inequalities`` holds on the link of every
-    vertex.
+    overlap.  So for every vertex v, in part i, with j = i + 1 and k = i + 2
+    cyclically and e(X, Y), e(X) counting the edges of v's link between X
+    and Y and inside X: e(Vi,Vj) + e(Vk) >= e(Vi,Vk) + e(Vi) (a move to part
+    j gains nothing) and e(Vj,Vk) + e(Vk) >= e(Vi,Vk) + e(Vj) (a move to
+    part k gains nothing).
     """
     if mode == "exhaustive":
         if h.n > EXHAUSTIVE_PARTITION_CAP:

@@ -1,47 +1,26 @@
 """Vertex-colored (3-partitioned) 2-graphs.
 
-Covers the cyclic-triangle density rho3, the Lambda construction, Zykov-style
+Covers the cyclic-triangle scan, the Lambda construction, Zykov-style
 symmetrization to a locally symmetrized fixpoint, the structural fact
-checkers that fixpoint satisfies, and the mixed directed view used for
-degree-sum bounds along directed paths.
+checkers that fixpoint satisfies, and the mixed directed view whose
+minimum directed cycles those facts inspect.
 
 Parts are numbered 1, 2, 3 and all part arithmetic is cyclic (after 3 comes
 1).  A triangle on colors (i, i, i+1) or (1, 2, 3) is "cyclic"; a colored
 graph is cyclically triangle-free when it has no such triangle.  The part
 labels, ``Partition3`` and the cyclic types are those of the construction
-model in ``constructions``; they are re-exported here.
+model in ``constructions``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
 from typing import Iterator, Optional, Sequence
 
-from .constructions import (
-    CYCLIC_TABLE,
-    CYCLIC_TRIANGLE_TYPES,
-    Partition3,
-    cyclic_move_inequalities,
-    next_part,
-    part_pair_counts,
-    prev_part,
-)
-from .errors import (
-    CrossPartClasses,
-    MalformedPath,
-    NotLocallySymmetrized,
-    PartitionMismatch,
-    SameClass,
-    SameVertex,
-    SizeLimitExceeded,
-    TooFewVertices,
-)
-from .hypergraph import Graph, check_vertex, graph_l2_norm, make_pair_graph
-
-LONGEST_PATH_CAP = 15
+from .constructions import CYCLIC_TABLE, Partition3, next_part, prev_part
+from .errors import NotLocallySymmetrized, PartitionMismatch
+from .hypergraph import Graph, make_pair_graph
 
 
 class ColoredGraph:
@@ -61,15 +40,8 @@ class ColoredGraph:
     def n(self) -> int:
         return self.graph.n
 
-    def part_of(self, v: int) -> int:
-        return self.partition.part_of(v)
-
     def with_graph(self, graph: Graph) -> "ColoredGraph":
         return ColoredGraph(graph, self.partition)
-
-    def in_neighborhood(self, v: int) -> frozenset[int]:
-        """Neighbors of v in the part before v's part (cyclically)."""
-        return _neighbors_in_part(self, v, prev_part(self.part_of(v)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -112,13 +84,6 @@ def cyclic_triangles(cg: ColoredGraph) -> list[tuple[int, int, int]]:
     return list(_cyclic_triangle_scan(cg))
 
 
-def rho3(cg: ColoredGraph) -> Fraction:
-    """Density of cyclic-type triangles among all vertex triples."""
-    if cg.n < 3:
-        raise TooFewVertices("rho3 needs at least 3 vertices")
-    return Fraction(len(cyclic_triangles(cg)), comb(cg.n, 3))
-
-
 def is_cyclic_triangle_free(cg: ColoredGraph) -> bool:
     """Direct scan that stops at the first cyclic triangle; no division,
     defined for every vertex count."""
@@ -135,31 +100,6 @@ def build_lambda(n1: int, n2: int, n3: int) -> ColoredGraph:
     edges += [(a, b) for a in v2 for b in v3]
     edges += list(itertools.combinations(v3, 2))
     return ColoredGraph(make_pair_graph(n1 + n2 + n3, edges), partition)
-
-
-def is_locally_maximal(cg: ColoredGraph) -> tuple[bool, Optional[int]]:
-    """Some part index i satisfies the two cyclic edge-count inequalities.
-
-    Returns (holds, smallest witnessing i or None).
-    """
-    counts = part_pair_counts(cg.graph.edges, cg.partition.parts)
-    for i in (1, 2, 3):
-        if all(cyclic_move_inequalities(counts, i)):
-            return True, i
-    return False, None
-
-
-def symmetrize(cg: ColoredGraph, u: int, v: int) -> ColoredGraph:
-    """Replace u's incident edges by {uw : w in N(v)}, excluding the self-pair.
-
-    v and the partition are untouched.  If u and v were adjacent the edge uv
-    disappears (v is not its own neighbor).
-    """
-    if u == v:
-        raise SameVertex("cannot symmetrize a vertex to itself")
-    check_vertex(u, cg.n)
-    check_vertex(v, cg.n)
-    return _merge(cg, (u,), v)
 
 
 def _merge(cg: ColoredGraph, movers: Sequence[int], to_vertex: int) -> ColoredGraph:
@@ -201,23 +141,6 @@ def equivalence_classes(cg: ColoredGraph) -> EquivalenceClasses:
     return EquivalenceClasses(tuple(classes), tuple(class_of))
 
 
-def class_symmetrize(cg: ColoredGraph, from_vertex: int, to_vertex: int) -> ColoredGraph:
-    """Give every vertex of [from_vertex] the neighborhood of to_vertex.
-
-    Both classes must lie in the same part and be distinct.  When the two
-    classes are nonadjacent this preserves cyclic triangle-freeness; merging
-    a class into an adjacent one can create cyclic triangles and is allowed
-    but not covered by that guarantee.
-    """
-    check_vertex(from_vertex, cg.n)
-    check_vertex(to_vertex, cg.n)
-    if cg.part_of(from_vertex) != cg.part_of(to_vertex):
-        raise CrossPartClasses("classes must lie in the same part")
-    if cg.graph.neighbors(from_vertex) == cg.graph.neighbors(to_vertex):
-        raise SameClass("the two vertices already lie in one class")
-    return _merge(cg, equivalence_classes(cg).class_members(from_vertex), to_vertex)
-
-
 @dataclass(frozen=True)
 class MergeStep:
     part: int
@@ -225,11 +148,6 @@ class MergeStep:
     target_class: tuple[int, ...]
     edges_before: int
     edges_after: int
-
-
-def is_locally_symmetrized(cg: ColoredGraph) -> bool:
-    """Every nonadjacent same-part pair has identical neighborhoods."""
-    return _first_violation(cg) is None
 
 
 def _first_violation(cg: ColoredGraph) -> Optional[tuple[int, int]]:
@@ -484,115 +402,6 @@ class DirectedView:
             dfs([start], {start})
         return [list(c) for c in sorted(found)]
 
-    def longest_directed_path(self) -> tuple[int, list[int]]:
-        """(vertex count, path) of a longest directed path, by exact subset
-        DP.  Refuses views with more than ``LONGEST_PATH_CAP`` vertices
-        rather than approximating."""
-        n = self.cg.n
-        if n > LONGEST_PATH_CAP:
-            raise SizeLimitExceeded(
-                f"longest directed path capped at {LONGEST_PATH_CAP} vertices, got {n}"
-            )
-        if n == 0:
-            return 0, []
-        best_len = 1
-        best_path = [0]
-        # maps (visited mask, last vertex) to the predecessor, -1 at a start
-        layer: dict[tuple[int, int], int] = {(1 << v, v): -1 for v in range(n)}
-        frontier = list(layer.keys())
-        depth = 1
-        while frontier:
-            nxt: dict[tuple[int, int], int] = {}
-            for mask, last in frontier:
-                for w in self.out[last]:
-                    if not mask >> w & 1:
-                        key = (mask | 1 << w, w)
-                        if key not in layer and key not in nxt:
-                            nxt[key] = last
-            layer.update(nxt)
-            if nxt:
-                depth += 1
-                mask, last = next(iter(sorted(nxt)))
-                path = [last]
-                key = (mask, last)
-                while layer[key] != -1:
-                    prev = layer[key]
-                    path.append(prev)
-                    key = (key[0] ^ 1 << key[1], prev)
-                path.reverse()
-                best_len, best_path = depth, path
-            frontier = list(nxt.keys())
-        return best_len, best_path
-
-
-@dataclass(frozen=True)
-class PathDegreeReport:
-    degree_sum: int
-    bound: int
-    segments: int
-    part_size_for_bound: int
-    start_precondition_met: bool
-    class_distinct: bool
-    within_bound: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree_sum": self.degree_sum,
-            "bound": self.bound,
-            "segments": self.segments,
-            "part_size_for_bound": self.part_size_for_bound,
-            "start_precondition_met": self.start_precondition_met,
-            "class_distinct": self.class_distinct,
-            "within_bound": self.within_bound,
-        }
-
-
-def degree_sum_on_path(cg: ColoredGraph, path: Sequence[int]) -> PathDegreeReport:
-    """Degree sum along a directed path x1 y1 z1 ... xk yk zk.
-
-    The path must be vertex-disjoint, follow parts 1,2,3 cyclically, and use
-    directed edges throughout.  The comparison bound is 3(k+1) times the
-    largest part size; unequal parts are allowed and the size used is
-    recorded.  The start precondition (the first vertex's in-neighborhood is
-    empty or equals the last vertex's class) is evaluated and reported, not
-    enforced.
-    """
-    path = list(path)
-    if not path or len(path) % 3 != 0:
-        raise MalformedPath("path must consist of full (x, y, z) segments")
-    for v in path:
-        check_vertex(v, cg.n)
-    if len(set(path)) != len(path):
-        raise MalformedPath("path repeats a vertex")
-    for idx, v in enumerate(path):
-        expected = 1 + idx % 3
-        if cg.part_of(v) != expected:
-            raise MalformedPath(f"vertex {v} at position {idx} must lie in part {expected}")
-    adj = cg.graph.adjacency()
-    for a, b in zip(path, path[1:]):
-        if b not in adj[a]:
-            raise MalformedPath(f"missing directed edge {a}->{b}")
-
-    k = len(path) // 3
-    ec = equivalence_classes(cg)
-    ids = [ec.class_of[v] for v in path]
-    class_distinct = len(set(ids)) == len(ids)
-    inn = cg.in_neighborhood(path[0])
-    last_class = frozenset(ec.class_members(path[-1]))
-    precondition = not inn or inn == last_class
-    degree_sum = sum(cg.graph.degree(v) for v in path)
-    n_for_bound = max(cg.partition.sizes)
-    bound = 3 * (k + 1) * n_for_bound
-    return PathDegreeReport(
-        degree_sum=degree_sum,
-        bound=bound,
-        segments=k,
-        part_size_for_bound=n_for_bound,
-        start_precondition_met=precondition,
-        class_distinct=class_distinct,
-        within_bound=degree_sum <= bound,
-    )
-
 
 def random_cyclic_triangle_free(rng, n: int, density: float = 0.5) -> ColoredGraph:
     """Random colored graph made cyclically triangle-free by greedy deletion."""
@@ -612,32 +421,3 @@ def random_cyclic_triangle_free(rng, n: int, density: float = 0.5) -> ColoredGra
         drop = tuple(sorted(drop))
         cg = cg.with_graph(cg.graph.with_changes(remove=[drop]))
 
-
-# re-export for callers that treat this module as the 2-graph norm home
-__all__ = [
-    "CYCLIC_TRIANGLE_TYPES",
-    "ColoredGraph",
-    "DirectedView",
-    "EquivalenceClasses",
-    "FactCheck",
-    "FactsReport",
-    "MergeStep",
-    "Partition3",
-    "PathDegreeReport",
-    "build_lambda",
-    "check_symmetrized_facts",
-    "class_symmetrize",
-    "cyclic_triangles",
-    "degree_sum_on_path",
-    "equivalence_classes",
-    "graph_l2_norm",
-    "is_cyclic_triangle_free",
-    "is_locally_maximal",
-    "is_locally_symmetrized",
-    "locally_symmetrize",
-    "next_part",
-    "prev_part",
-    "random_cyclic_triangle_free",
-    "rho3",
-    "symmetrize",
-]

@@ -17,7 +17,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import PartitionMismatch
 from .hypergraph import ThreeGraph, Triple, check_vertex
@@ -40,25 +40,6 @@ def next_part(i: int) -> int:
 
 def prev_part(i: int) -> int:
     return 1 + ((i + 1) % 3)
-
-
-def part_pair_counts(pairs: Iterable[tuple[int, int]], parts: Sequence[int]) -> Counter:
-    """Edge counts of a 2-graph keyed by sorted part pair: (i, i) inside Vi."""
-    return Counter(tuple(sorted((parts[a], parts[b]))) for a, b in pairs)
-
-
-def cyclic_move_inequalities(counts: Counter, i: int) -> tuple[bool, bool]:
-    """The two cyclic edge-count inequalities at part i, with j = i + 1 and
-    k = i + 2 cyclically: e(Vi,Vj) + e(Vk) >= e(Vi,Vk) + e(Vi) and
-    e(Vj,Vk) + e(Vk) >= e(Vi,Vk) + e(Vj), on ``part_pair_counts``."""
-    j, k = next_part(i), prev_part(i)
-
-    def cnt(x: int, y: int) -> int:
-        return counts[(min(x, y), max(x, y))]
-
-    first = cnt(i, j) + cnt(k, k) >= cnt(i, k) + cnt(i, i)
-    second = cnt(j, k) + cnt(k, k) >= cnt(i, k) + cnt(j, j)
-    return first, second
 
 
 class Partition3:

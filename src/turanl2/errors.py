@@ -23,32 +23,12 @@ class SizeLimitExceeded(TuranL2Error):
     """An exact-search operation was asked to run beyond its configured cap."""
 
 
-class SameVertex(TuranL2Error):
-    """An operation that needs two distinct vertices got the same one twice."""
-
-
-class TooFewVertices(TuranL2Error):
-    """The graph is too small for the requested density quantity."""
-
-
 class PartitionMismatch(TuranL2Error):
     """A partition does not cover the graph's vertex set exactly."""
 
 
-class CrossPartClasses(TuranL2Error):
-    """Class symmetrization needs both classes inside one part."""
-
-
-class SameClass(TuranL2Error):
-    """Class symmetrization needs two distinct classes."""
-
-
 class NotLocallySymmetrized(TuranL2Error):
     """A check that presumes a locally symmetrized graph got one that is not."""
-
-
-class MalformedPath(TuranL2Error):
-    """A vertex sequence is not a directed path of the required shape."""
 
 
 class UnknownFamily(TuranL2Error):

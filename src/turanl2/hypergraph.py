@@ -106,9 +106,6 @@ class ThreeGraph:
     def __repr__(self) -> str:
         return f"ThreeGraph(n={self.n}, m={len(self.edges)})"
 
-    def has_edge(self, t: Sequence[int]) -> bool:
-        return tuple(sorted(t)) in self.edge_set
-
     def codegrees(self) -> dict[Pair, int]:
         """Pair -> number of edges containing it (absent pairs have 0)."""
         if self._codegrees is None:
@@ -129,10 +126,6 @@ class ThreeGraph:
         elif callable(self._codegrees):
             self._codegrees = self._codegrees()
         return self._codegrees
-
-    def degree(self, v: int) -> int:
-        check_vertex(v, self.n)
-        return sum(1 for t in self.edges if v in t)
 
     def edits_from(self, parent: "ThreeGraph") -> Optional[tuple[list[Triple], list[Triple]]]:
         """``(gained, lost)``, the sorted effective edits with ``edge_set ==
@@ -177,7 +170,7 @@ def _move_pairs(cd: dict[Pair, int], edges: Iterable[Triple], step: int) -> None
 
 
 class Graph:
-    """An immutable 2-graph used for links, shadows, and colored graphs."""
+    """An immutable 2-graph: the graph of a colored graph."""
 
     __slots__ = ("n", "edges", "edge_set", "_adj")
 
@@ -202,9 +195,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edge_set if u < v else (v, u) in self.edge_set
 
     def adjacency(self) -> tuple[frozenset[int], ...]:
         if self._adj is None:
@@ -276,32 +266,6 @@ def make_pair_graph(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
     if n < 0:
         raise VertexOutOfRange("vertex count must be nonnegative")
     return Graph(n, pairs)
-
-
-def codegree(h: ThreeGraph, e: Sequence[int]) -> int:
-    """Number of edges of ``h`` containing both endpoints of the pair ``e``."""
-    pair = normalize_pair(e, h.n)
-    return h.codegrees().get(pair, 0)
-
-
-def link(h: ThreeGraph, v: int) -> Graph:
-    """The link of ``v``: pairs e with {v} | e an edge of ``h``.
-
-    Returned on the same vertex set; v itself is isolated in its link.  The
-    degree of u in the link equals the codegree of the pair {u, v}.
-    """
-    check_vertex(v, h.n)
-    pairs = []
-    for t in h.edges:
-        if v in t:
-            a, b = (x for x in t if x != v)
-            pairs.append((a, b))
-    return Graph(h.n, sorted(pairs), _normalized=True)
-
-
-def shadow(h: ThreeGraph) -> Graph:
-    """All pairs covered by at least one edge."""
-    return Graph(h.n, sorted(h.codegrees().keys()), _normalized=True)
 
 
 def l2_norm(h: ThreeGraph) -> int:

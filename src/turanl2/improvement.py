@@ -242,18 +242,6 @@ class Queues:
     b_tilde: frozenset[Triple]
 
 
-def _checked_delta4(delta4) -> Fraction:
-    delta4 = Fraction(delta4)
-    if not 0 < delta4 < 1:
-        raise InvalidArgument("delta4 must lie strictly between 0 and 1")
-    return delta4
-
-
-def build_queues(h: ThreeGraph, p: Partition3, delta4: Fraction) -> Queues:
-    delta4 = _checked_delta4(delta4)
-    return _queues(classify_edges(h, p), delta4)
-
-
 def _queues(ec: EdgeClassification, delta4: Fraction) -> Queues:
     """The queues of the classified state ``ec``."""
     parts = ec.partition.parts
@@ -344,7 +332,9 @@ def two_phase_driver(
     construction.  The l2 trajectory and tetrahedron-freeness along the way
     are recorded, not enforced.
     """
-    delta4 = _checked_delta4(delta4)
+    delta4 = Fraction(delta4)
+    if not 0 < delta4 < 1:
+        raise InvalidArgument("delta4 must lie strictly between 0 and 1")
     ec = classify_edges(h, p)
     queues = _queues(ec, delta4)
     i_pairs, j_pairs = list(queues.i_pairs), list(queues.j_pairs)

@@ -8,7 +8,8 @@ maximizer, subgraph searches enumerate vertex subsets directly, the
 tripartite census's maximizers come from a decomposition over the bipartite
 graphs between two parts, the cyclic construction is recounted from the
 part counts of every triple, the driver's queues come from a scan of every
-pair, the simplex certificate and grid sweep are rerun in Fraction
+pair, links and the path lemma's degree bound are read off edge lists and
+adjacency sets, the simplex certificate and grid sweep are rerun in Fraction
 arithmetic, the recentered margin and the center lemma's floor are written
 out as the formulas the certificate's argument states, and the two toggle
 checklists are written out separately, one body per phase.
@@ -29,9 +30,15 @@ from turanl2.classification import (
     _shared_items,
     classify_edges,
 )
-from turanl2.constructions import CYCLIC_TABLE
+from turanl2.constructions import CYCLIC_TABLE, next_part, prev_part
 from turanl2.errors import EdgeNotCrossing, EdgeNotInShadow, EdgeNotInternal
-from turanl2.hypergraph import ThreeGraph, canonical_form, normalize_pair
+from turanl2.hypergraph import (
+    Graph,
+    ThreeGraph,
+    canonical_form,
+    make_pair_graph,
+    normalize_pair,
+)
 from turanl2.improvement import Queues
 from turanl2.inequality import (
     CENTER_RADIUS,
@@ -176,6 +183,48 @@ def is_construction_edge(t, p) -> bool:
     lookup: the per-triple route the library's scans inline."""
     a, b, c = t
     return CYCLIC_TABLE[9 * p.part_of(a) + 3 * p.part_of(b) + p.part_of(c) - 13]
+
+
+def link(h: ThreeGraph, v: int) -> Graph:
+    """The link of ``v``: pairs e with {v} | e an edge of ``h``, on the same
+    vertex set.  The degree of u in it is the codegree of {u, v}."""
+    return make_pair_graph(h.n, [[x for x in t if x != v] for t in h.edges if v in t])
+
+
+def part_pair_counts(pairs, parts) -> Counter:
+    """Edge counts of a 2-graph keyed by sorted part pair: (i, i) inside Vi."""
+    return Counter(tuple(sorted((parts[a], parts[b]))) for a, b in pairs)
+
+
+def cyclic_move_inequalities(counts: Counter, i: int) -> tuple[bool, bool]:
+    """The two cyclic edge-count inequalities at part i, with j = i + 1 and
+    k = i + 2 cyclically: e(Vi,Vj) + e(Vk) >= e(Vi,Vk) + e(Vi) and
+    e(Vj,Vk) + e(Vk) >= e(Vi,Vk) + e(Vj), on ``part_pair_counts``."""
+    j, k = next_part(i), prev_part(i)
+
+    def cnt(x: int, y: int) -> int:
+        return counts[(min(x, y), max(x, y))]
+
+    first = cnt(i, j) + cnt(k, k) >= cnt(i, k) + cnt(i, i)
+    second = cnt(j, k) + cnt(k, k) >= cnt(i, k) + cnt(j, j)
+    return first, second
+
+
+def oracle_path_degree(cg, path) -> Optional[tuple[int, int]]:
+    """(degree sum, 3 (k + 1) times the largest part) along a directed path
+    x1 y1 z1 ... xk yk zk of a colored graph, or None when the path lemma's
+    premises fail: two path vertices share a class (same part, same
+    neighbourhood), or the in-neighbourhood of x1 (its part-3 neighbours) is
+    neither empty nor the class of zk."""
+    parts, adj = cg.partition.parts, cg.graph.adjacency()
+    classes = [
+        frozenset(u for u in range(cg.n) if parts[u] == parts[v] and adj[u] == adj[v])
+        for v in path
+    ]
+    inn = frozenset(w for w in adj[path[0]] if parts[w] == 3)
+    if len(set(classes)) < len(path) or (inn and inn != classes[-1]):
+        return None
+    return sum(len(adj[v]) for v in path), (len(path) + 3) * max(cg.partition.sizes)
 
 
 # --- rational interval arithmetic: the oracle for the integer certificate ---

@@ -9,10 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    cyclic_move_inequalities,
     is_construction_edge,
+    link,
     oracle_cyclic_edges,
     oracle_phase_one_checklist,
     oracle_phase_two_checklist,
+    part_pair_counts,
     random_graph,
 )
 from turanl2 import acceptance, classification
@@ -34,9 +37,7 @@ from turanl2.constructions import (
     build_balanced_c,
     build_c,
     construction,
-    cyclic_move_inequalities,
     next_part,
-    part_pair_counts,
     prev_part,
 )
 from turanl2.errors import (
@@ -48,7 +49,7 @@ from turanl2.errors import (
     TuranL2Error,
     UnknownFamily,
 )
-from turanl2.hypergraph import ThreeGraph, link, make_graph
+from turanl2.hypergraph import ThreeGraph, make_graph
 from turanl2.improvement import generate_phase_instance, verify_toggle_increase
 
 

@@ -10,7 +10,7 @@ from turanl2.classification import Thresholds, optimize_partition
 from turanl2.cli import main
 from turanl2.errors import InvalidArgument, TuranL2Error
 from turanl2.hypergraph import make_graph
-from turanl2.improvement import apply_toggle, build_queues
+from turanl2.improvement import apply_toggle, two_phase_driver
 from turanl2.inequality import verify_simplex_inequality
 from turanl2.formats import load_h3, load_p3, write_cg
 from turanl2.colored import build_lambda
@@ -340,7 +340,7 @@ def test_argument_checks_stay_value_errors():
                  lambda: optimize_partition(h, mode="nope"),
                  lambda: Thresholds(0),
                  lambda: apply_toggle(h, None, (0, 1), "three"),
-                 lambda: build_queues(h, None, 2),
+                 lambda: two_phase_driver(h, None, 2),
                  lambda: verify_simplex_inequality(0)):
         with pytest.raises(InvalidArgument) as exc:
             call()

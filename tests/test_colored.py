@@ -1,40 +1,25 @@
 import hashlib
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
+from conftest import oracle_path_degree
 from turanl2.colored import (
-    LONGEST_PATH_CAP,
     ColoredGraph,
     DirectedView,
     Partition3,
+    _merge,
     build_lambda,
     check_symmetrized_facts,
-    class_symmetrize,
     cyclic_triangles,
-    degree_sum_on_path,
     equivalence_classes,
-    graph_l2_norm,
     is_cyclic_triangle_free,
-    is_locally_maximal,
-    is_locally_symmetrized,
     locally_symmetrize,
     random_cyclic_triangle_free,
-    rho3,
-    symmetrize,
 )
-from turanl2.errors import (
-    CrossPartClasses,
-    MalformedPath,
-    NotLocallySymmetrized,
-    SameClass,
-    SameVertex,
-    SizeLimitExceeded,
-    TooFewVertices,
-)
-from turanl2.hypergraph import make_pair_graph
+from turanl2.errors import NotLocallySymmetrized
+from turanl2.hypergraph import graph_l2_norm, make_pair_graph
 from turanl2.util import dump_json
 
 
@@ -43,14 +28,13 @@ def colored(n, colors, edges):
 
 
 def test_rho3_triangle_types():
-    assert rho3(colored(3, "123", [(0, 1), (0, 2), (1, 2)])) == 1
-    assert rho3(colored(3, "113", [(0, 1), (0, 2), (1, 2)])) == 0
-    assert rho3(colored(3, "112", [(0, 1), (0, 2), (1, 2)])) == Fraction(1, 1)
-    assert rho3(colored(3, "221", [(0, 1), (0, 2), (1, 2)])) == 0  # V2V2V1 not cyclic
-    lam = build_lambda(2, 2, 2)
-    assert rho3(lam) == 0
-    with pytest.raises(TooFewVertices):
-        rho3(colored(2, "12", [(0, 1)]))
+    # rho3, the cyclic-triangle density, counts the triangles this scan lists
+    triangle = [(0, 1), (0, 2), (1, 2)]
+    assert cyclic_triangles(colored(3, "123", triangle)) == [(0, 1, 2)]
+    assert cyclic_triangles(colored(3, "113", triangle)) == []
+    assert cyclic_triangles(colored(3, "112", triangle)) == [(0, 1, 2)]
+    assert cyclic_triangles(colored(3, "221", triangle)) == []  # V2V2V1 not cyclic
+    assert cyclic_triangles(build_lambda(2, 2, 2)) == []
 
 
 def test_cyclically_triangle_free():
@@ -80,27 +64,17 @@ def test_graph_l2_norm_path():
     assert graph_l2_norm(make_pair_graph(4, [])) == 0
 
 
-def test_locally_maximal():
-    assert is_locally_maximal(build_lambda(2, 2, 2))[0]
-    ok, idx = is_locally_maximal(colored(6, "112233", []))
-    assert ok and idx == 1
-    ok, idx = is_locally_maximal(colored(6, "112233", [(0, 1)]))
-    assert ok and idx == 2  # the single internal part-1 edge kills i=1
-
-
 def test_symmetrize_cases():
-    # equal neighborhoods: a no-op
+    # one mover with an equal neighborhood: a no-op
     cg = colored(4, "1122", [(0, 2), (1, 2)])
-    assert symmetrize(cg, 0, 1).graph == cg.graph
+    assert _merge(cg, (0,), 1).graph == cg.graph
     # adjacent pair loses its connecting edge
     cg2 = colored(2, "11", [(0, 1)])
-    assert symmetrize(cg2, 0, 1).graph.edges == ()
+    assert _merge(cg2, (0,), 1).graph.edges == ()
     # leaf copies a star center, dropping the mutual edge
     star = colored(4, "1111", [(0, 1), (0, 2), (0, 3)])
-    out = symmetrize(star, 1, 0)
+    out = _merge(star, (1,), 0)
     assert out.graph.edges == ((0, 2), (0, 3), (1, 2), (1, 3))
-    with pytest.raises(SameVertex):
-        symmetrize(cg, 1, 1)
 
 
 def test_equivalence_classes():
@@ -118,17 +92,18 @@ def test_equivalence_classes():
 def test_class_symmetrize():
     # two singleton classes, disjoint neighborhoods: mover becomes a twin
     cg = colored(5, "11223", [(0, 2), (1, 4)])
-    out = class_symmetrize(cg, 1, 0)
+    out = _merge(cg, (1,), 0)
     assert out.graph.neighbors(1) == out.graph.neighbors(0) == frozenset({2})
+    # every member of a twin class takes the target's neighborhood
+    twins = colored(5, "11123", [(0, 3), (1, 3), (2, 4)])
+    movers = equivalence_classes(twins).class_members(0)
+    assert movers == (0, 1)
+    assert _merge(twins, movers, 2).graph.edges == ((0, 4), (1, 4), (2, 4))
     # merging the adjacent part-3 singletons of the reference drops one edge
     lam = build_lambda(2, 2, 2)
-    merged = class_symmetrize(lam, 4, 5)
+    merged = _merge(lam, equivalence_classes(lam).class_members(4), 5)
     assert len(merged.graph.edges) == 8
     assert is_cyclic_triangle_free(merged)
-    with pytest.raises(SameClass):
-        class_symmetrize(colored(4, "1122", []), 0, 1)
-    with pytest.raises(CrossPartClasses):
-        class_symmetrize(colored(4, "1122", []), 0, 2)
 
 
 def test_class_symmetrize_preserves_freeness_on_nonadjacent_merges(rng):
@@ -137,18 +112,19 @@ def test_class_symmetrize_preserves_freeness_on_nonadjacent_merges(rng):
         n = rng.randint(4, 11)
         cg = random_cyclic_triangle_free(rng, n, rng.random())
         ec = equivalence_classes(cg)
+        parts = cg.partition.parts
         candidates = []
         for ca, cb in itertools.combinations(ec.classes, 2):
-            if cg.part_of(ca[0]) != cg.part_of(cb[0]):
+            if parts[ca[0]] != parts[cb[0]]:
                 continue
-            if not cg.graph.has_edge(ca[0], cb[0]):
+            if cb[0] not in cg.graph.neighbors(ca[0]):
                 candidates.append((ca[0], cb[0]))
         if not candidates:
             continue
         u, v = candidates[rng.randrange(len(candidates))]
         if rng.random() < 0.5:
             u, v = v, u
-        out = class_symmetrize(cg, u, v)
+        out = _merge(cg, ec.class_members(u), v)
         assert is_cyclic_triangle_free(out)
         checked += 1
 
@@ -158,7 +134,7 @@ def test_class_symmetrize_adjacent_merge_can_break_freeness():
     # twin class into [v] creates a two-in-part-1 triangle
     cg = colored(4, "1112", [(0, 2), (1, 2), (2, 3)])
     assert is_cyclic_triangle_free(cg)
-    out = class_symmetrize(cg, 0, 2)
+    out = _merge(cg, equivalence_classes(cg).class_members(0), 2)
     assert not is_cyclic_triangle_free(out)
 
 
@@ -178,7 +154,13 @@ def test_locally_symmetrize_properties(rng):
         out, log = locally_symmetrize(cg)
         assert len(out.graph.edges) >= len(cg.graph.edges)
         assert is_cyclic_triangle_free(out)
-        assert is_locally_symmetrized(out)
+        # every nonadjacent same-part pair has one neighborhood
+        parts, adj = out.partition.parts, out.graph.adjacency()
+        assert all(
+            adj[u] == adj[v]
+            for u, v in itertools.combinations(range(n), 2)
+            if parts[u] == parts[v] and v not in adj[u]
+        )
         report = check_symmetrized_facts(out)
         assert report.all_pass, report.to_json_dict()
         for step in log:
@@ -226,41 +208,13 @@ def test_directed_structure():
     empty = colored(4, "1233", [])
     view3 = DirectedView(empty)
     assert view3.shortest_directed_cycle() is None
-    assert view3.longest_directed_path() == (1, [0])
-
-
-def test_longest_directed_path_is_exact_and_capped():
-    lam = build_lambda(2, 2, 2)
-    length, path = DirectedView(lam).longest_directed_path()
-    assert length == 3 == len(path)  # part1 -> part2 -> part3 and no way back
-    assert [lam.part_of(v) for v in path] == [1, 2, 3]
-    # a directed six-cycle padded to the cap: the longest path walks the cycle
-    at_cap = _double_cycle(LONGEST_PATH_CAP - 6)
-    assert DirectedView(at_cap).longest_directed_path()[0] == 6
-    with pytest.raises(SizeLimitExceeded):
-        DirectedView(_double_cycle(LONGEST_PATH_CAP - 5)).longest_directed_path()
 
 
 def test_degree_sum_on_path_reference():
     for n in (2, 3, 4):
         lam = build_lambda(n, n, n)
-        x, y, z = 0, n, 2 * n
-        report = degree_sum_on_path(lam, [x, y, z])
-        assert report.degree_sum == n + 2 * n + (2 * n - 1)
-        assert report.bound == 6 * n
-        assert report.within_bound
-
-
-def test_degree_sum_on_path_malformed():
-    lam = build_lambda(2, 2, 2)
-    with pytest.raises(MalformedPath):
-        degree_sum_on_path(lam, [])
-    with pytest.raises(MalformedPath):
-        degree_sum_on_path(lam, [0, 2, 4, 1])  # not full segments
-    with pytest.raises(MalformedPath):
-        degree_sum_on_path(lam, [2, 0, 4])  # wrong part pattern
-    with pytest.raises(MalformedPath):
-        degree_sum_on_path(colored(3, "123", [(0, 1)]), [0, 1, 2])  # missing edge
+        # x has no part-3 neighbor; degrees n, 2n and 2n - 1 against 3 * 2 * n
+        assert oracle_path_degree(lam, [0, n, 2 * n]) == (n + 2 * n + (2 * n - 1), 6 * n)
 
 
 def test_degree_sum_bound_on_synthetic_symmetrized_graphs(rng):
@@ -269,7 +223,6 @@ def test_degree_sum_bound_on_synthetic_symmetrized_graphs(rng):
     for _ in range(25):
         cg = random_cyclic_triangle_free(rng, rng.randint(6, 9), rng.random())
         out, _ = locally_symmetrize(cg)
-        view = DirectedView(out)
         by_part = {i: sorted(out.partition.part_sets()[i - 1]) for i in (1, 2, 3)}
         adj = out.graph.adjacency()
         segs = [
@@ -280,18 +233,15 @@ def test_degree_sum_bound_on_synthetic_symmetrized_graphs(rng):
             for z in by_part[3]
             if z in adj[y]
         ]
-        for seg in segs:
-            rep = degree_sum_on_path(out, list(seg))
-            if rep.start_precondition_met and rep.class_distinct:
-                assert rep.within_bound
-        for s1 in segs:
-            for s2 in segs:
-                if set(s1) & set(s2) or s1[2] not in adj[s2[0]]:
-                    continue
-                path = list(s1) + list(s2)
-                rep = degree_sum_on_path(out, path)
-                if rep.start_precondition_met and rep.class_distinct:
-                    assert rep.within_bound
+        paths = [list(seg) for seg in segs] + [
+            list(s1) + list(s2)
+            for s1 in segs
+            for s2 in segs
+            if not set(s1) & set(s2) and s1[2] in adj[s2[0]]
+        ]
+        for path in paths:
+            found = oracle_path_degree(out, path)
+            assert found is None or found[0] <= found[1], path
 
 
 def _double_cycle(pad1=0, pad2=0, pad3=0):
@@ -338,21 +288,21 @@ def test_minimum_cycles_class_distinct_when_present():
 def test_rho3_color_preserving_equivariance(rng):
     for _ in range(60):
         n = rng.randint(3, 9)
-        cg = random_cyclic_triangle_free(rng, n, rng.random())
-        perm = list(range(n))
-        rng.shuffle(perm)
+        parts = Partition3(tuple(rng.choice((1, 2, 3)) for _ in range(n)))
+        density = rng.random()
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        cg = ColoredGraph(make_pair_graph(n, edges), parts)
         # only color-preserving relabelings keep the partition aligned
-        groups = {}
-        for v in range(n):
-            groups.setdefault(cg.part_of(v), []).append(v)
         mapping = {}
-        for part, vs in groups.items():
+        for members in parts.part_sets():
+            vs = sorted(members)
             shuffled = vs[:]
             rng.shuffle(shuffled)
-            mapping.update(dict(zip(vs, shuffled)))
-        edges = [tuple(sorted((mapping[a], mapping[b]))) for a, b in cg.graph.edges]
-        relabeled = ColoredGraph(make_pair_graph(n, edges), cg.partition)
-        assert rho3(relabeled) == rho3(cg)
+            mapping.update(zip(vs, shuffled))
+        moved_edges = [(mapping[a], mapping[b]) for a, b in edges]
+        relabeled = ColoredGraph(make_pair_graph(n, moved_edges), parts)
+        moved = sorted(tuple(sorted(mapping[x] for x in t)) for t in cyclic_triangles(cg))
+        assert sorted(cyclic_triangles(relabeled)) == moved
 
 
 def _symmetrization_digest(seed: int = 9, trials: int = 300) -> str:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    link,
     oracle_canonical,
     oracle_codegree,
     oracle_codegrees,
@@ -21,7 +22,6 @@ from turanl2.hypergraph import (
     ThreeGraph,
     canonical_blocks,
     canonical_form,
-    codegree,
     contains_k43,
     count_s2,
     delete_vertex,
@@ -30,10 +30,8 @@ from turanl2.hypergraph import (
     induce,
     l2_norm,
     least_relabeling,
-    link,
     make_graph,
     make_pair_graph,
-    shadow,
     two_norm_degree,
 )
 
@@ -85,22 +83,19 @@ def test_builders_normalize_each_item_once(monkeypatch):
 
 def test_codegree_small_cases():
     h = make_graph(3, [[0, 1, 2]])
-    assert codegree(h, (0, 1)) == 1
+    assert h.codegrees() == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
     k4 = make_graph(4, K4)
-    for pair in itertools.combinations(range(4), 2):
-        assert codegree(k4, pair) == 2
+    assert k4.codegrees() == dict.fromkeys(itertools.combinations(range(4), 2), 2)
 
 
 def test_codegree_on_balanced_cyclic_construction():
     # internal pairs sit in 2 edges, crossing pairs in 3 (enumerated oracle)
     c6, _ = build_balanced_c(6)
+    cd = c6.codegrees()
     for pair in itertools.combinations(range(6), 2):
-        assert codegree(c6, pair) == oracle_codegree(c6, pair)
-    assert codegree(c6, (0, 1)) == 2
-    assert codegree(c6, (2, 3)) == 2
-    assert codegree(c6, (4, 5)) == 2
-    assert codegree(c6, (0, 2)) == 3
-    assert codegree(c6, (0, 4)) == 3
+        assert cd[pair] == oracle_codegree(c6, pair)
+    assert cd[(0, 1)] == cd[(2, 3)] == cd[(4, 5)] == 2
+    assert cd[(0, 2)] == cd[(0, 4)] == 3
 
 
 def test_link_cases():
@@ -114,14 +109,16 @@ def test_link_cases():
         assert len(lk.edges) == 7  # every vertex has degree 7 (handshake: 3*14/6)
         for u in range(6):
             if u != v:
-                assert lk.degree(u) == codegree(c6, tuple(sorted((u, v))))
+                assert lk.degree(u) == c6.codegrees()[tuple(sorted((u, v)))]
 
 
 def test_shadow():
-    assert shadow(make_graph(3, [[0, 1, 2]])).edges == ((0, 1), (0, 2), (1, 2))
-    assert shadow(make_graph(5, [])).edges == ()
-    k4 = make_graph(4, K4)
-    assert shadow(k4).edges == tuple(itertools.combinations(range(4), 2))
+    # the table holds exactly the covered pairs, none with codegree 0
+    assert list(make_graph(3, [[0, 1, 2]]).codegrees()) == [(0, 1), (0, 2), (1, 2)]
+    assert make_graph(5, []).codegrees() == {}
+    for h in (make_graph(4, K4), make_graph(6, [[0, 1, 2], [2, 3, 4]])):
+        covered = {p for t in h.edges for p in itertools.combinations(t, 2)}
+        assert set(h.codegrees()) == covered and all(h.codegrees().values())
 
 
 def test_l2_norm_values():

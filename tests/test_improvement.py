@@ -20,8 +20,8 @@ from turanl2.errors import (
 from turanl2.hypergraph import l2_norm, make_graph
 from turanl2 import improvement
 from turanl2.improvement import (
+    _queues,
     apply_toggle,
-    build_queues,
     generate_phase_instance,
     two_phase_driver,
     verify_toggle_increase,
@@ -163,13 +163,13 @@ def test_toggle_exactness_on_randoms(rng):
 class TestBuildQueues:
     def test_native_construction_is_quiet(self):
         c6, p6 = build_balanced_c(6)
-        q = build_queues(c6, p6, Fraction(1, 40))
+        q = _queues(classify_edges(c6, p6), Fraction(1, 40))
         assert not q.i_pairs and not q.j_pairs and not q.b_tilde
 
     def test_missing_transversals_promote_a_crossing_pair(self):
         c6, p6 = build_balanced_c(6)
         h = c6.with_changes(remove=[(0, 2, 4), (0, 2, 5)])
-        q = build_queues(h, p6, Fraction(1, 40))
+        q = _queues(classify_edges(h, p6), Fraction(1, 40))
         assert (0, 2) in q.j_pairs
 
     def test_queues_match_the_pair_scan_oracle(self, rng):
@@ -183,14 +183,14 @@ class TestBuildQueues:
                 gone = rng.sample(base.edges, min(len(base.edges), rng.randint(0, 3 * n)))
                 h = base.with_changes(add=random_graph(rng, n, 0.05).edges, remove=gone)
             delta4 = Fraction(1, rng.choice((40, 8, 3, 2)))
-            assert build_queues(h, p, delta4) == oracle_queues(h, p, delta4), trial
+            assert _queues(classify_edges(h, p), delta4) == oracle_queues(h, p, delta4), trial
 
     def test_planted_bad_edge_with_quiet_pair_is_deferred(self):
         c6, p6 = build_balanced_c(6)
         # two part-2 vertices with one part-1 vertex: a deferred-family shape;
         # nothing is missing at the internal pair (2, 3)
         h = c6.with_changes(add=[(0, 2, 3)])
-        q = build_queues(h, p6, Fraction(1, 40))
+        q = _queues(classify_edges(h, p6), Fraction(1, 40))
         assert (0, 2, 3) in q.b_tilde
         assert (2, 3) not in q.i_pairs
 

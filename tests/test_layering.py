@@ -18,12 +18,16 @@ squares are counted, in full and by differences, in one routine; one
 runtime check counts the reference sweeps per census.  Each acceptance
 criterion's name and time cap are written only in the ``CRITERIA`` table,
 and only ``run_criterion`` reads the clock there; census reports carry no
-clock, so ``cmd_census`` is the clock's one other reader.  The public names that no library module and no benchmark
-reaches are a written list, so a helper only tests call shows up here, and
-``inequality`` holds the simplex inequality alone, with no 3-graph import.
+clock, so ``cmd_census`` is the clock's one other reader.  The public names
+that no library module and no benchmark reaches are a written list, so a
+helper only tests call shows up here; every perfbench trace target and
+import resolves; every error class is raised or is the base of one that is;
+and ``inequality`` holds the simplex inequality alone, with no 3-graph
+import.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import turanl2
@@ -173,8 +177,7 @@ def test_colored_neighbourhoods_are_rewritten_in_one_body():
         )
     }
     assert adders == {"_merge"}
-    for name in ("symmetrize", "class_symmetrize", "locally_symmetrize"):
-        assert _calls_named(functions[name], "_merge") == 1, name
+    assert _calls_named(functions["locally_symmetrize"], "_merge") == 1
 
 
 def _keyword_calls(node, keyword: str) -> int:
@@ -347,7 +350,76 @@ def _referenced_names(tree: ast.AST) -> set:
     }
 
 
+def _package_imports(tree: ast.AST):
+    """(home, name, local name) for each name imported from ``turanl2``:
+    home is the module it is read from, "" for the package itself."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            home = node.module or ""
+        elif node.level == 0 and node.module and node.module.split(".")[0] == "turanl2":
+            home = node.module.partition(".")[2]
+        else:
+            continue
+        for alias in node.names:
+            yield home, alias.name, alias.asname or alias.name
+
+
+def _trace_targets(tree: ast.AST) -> list:
+    """The ``"turanl2.module:qualname"`` strings in a perfbench module."""
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.startswith("turanl2.")
+        and ":" in node.value
+    ]
+
+
+def _reached_functions(functions: set) -> set:
+    """The public module-level functions (``module.name``) that a library
+    module or perfbench reaches: the home module uses the name, another
+    library module imports it from its home and uses it (also as
+    ``alias.name`` after importing the home as ``alias``), or perfbench
+    imports it or names it in a trace target."""
+    reached = set()
+    for path in SRC.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = _tree(path.stem)
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        reached |= {f"{path.stem}.{name}" for name in names}
+        attributes = {
+            (node.value.id, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        }
+        for home, name, local in _package_imports(tree):
+            if home and local in names:
+                reached.add(f"{home}.{name}")
+            elif not home:  # the module itself, used as local.attribute
+                reached |= {f"{name}.{attr}" for owner, attr in attributes if owner == local}
+    for path in PERFBENCH.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for home, name, _ in _package_imports(tree):
+            if home:
+                reached.add(f"{home}.{name}")
+            else:
+                reached |= {f for f in functions if f.rpartition(".")[2] == name}
+        for target in _trace_targets(tree):
+            module, _, qualname = target.partition(":")
+            reached.add(f"{module.partition('.')[2]}.{qualname}")
+    return reached & functions
+
+
 def test_public_names_no_library_module_or_benchmark_reaches_are_listed():
+    """A public module-level function counts as reached only by the routes
+    ``_reached_functions`` lists.  Methods and classes are still matched by
+    bare name against every name a library or perfbench module mentions, so
+    a method that shares its name with one in use (``ThreeGraph.degree``
+    beside ``Graph.degree``) passes unseen and must be found by hand."""
     referenced = set()
     for path in SRC.glob("*.py"):
         if path.stem != "__init__":
@@ -355,28 +427,74 @@ def test_public_names_no_library_module_or_benchmark_reaches_are_listed():
     for path in PERFBENCH.glob("*.py"):
         tree = ast.parse(path.read_text())
         referenced |= _referenced_names(tree)
-        if path.name == "run.py":
-            # traced spans name their targets as "module:qualname" strings
-            for node in ast.walk(tree):
-                value = node.value if isinstance(node, ast.Constant) else None
-                if isinstance(value, str) and value.startswith("turanl2.") and ":" in value:
-                    referenced.update(value.partition(":")[2].split("."))
-    unreached = {qualified for qualified, name in _public_definitions().items() if name not in referenced}
-    assert unreached == {
-        "colored.DirectedView.longest_directed_path",
-        "colored.class_symmetrize",
-        "colored.degree_sum_on_path",
-        "colored.is_locally_maximal",
-        "colored.is_locally_symmetrized",
-        "colored.rho3",
-        "colored.symmetrize",
-        "hypergraph.Graph.has_edge",
-        "hypergraph.ThreeGraph.has_edge",
-        "hypergraph.link",
-        "hypergraph.shadow",
-        "improvement.build_queues",
-        "inequality.margin",
+        for target in _trace_targets(tree):
+            referenced.update(target.partition(":")[2].split("."))
+    definitions = _public_definitions()
+    functions = {
+        f"{path.stem}.{node.name}"
+        for path in SRC.glob("*.py")
+        for node in _tree(path.stem).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
+    reached = _reached_functions(functions)
+    unreached = {
+        qualified
+        for qualified, name in definitions.items()
+        if (qualified not in reached if qualified in functions else name not in referenced)
+    }
+    assert unreached == {"inequality.margin"}
+
+
+def test_perfbench_targets_and_imports_exist():
+    """Every ``SPANS`` and ``COUNTS`` target in ``perfbench/run.py`` resolves
+    the way ``Tracer.install`` resolves it, and every name ``run.py`` and
+    ``workloads.py`` import from ``turanl2`` exists; a traced benchmark run
+    would otherwise die on a deleted library name."""
+    run = ast.parse((PERFBENCH / "run.py").read_text())
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in run.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("SPANS", "COUNTS")
+    }
+    assert tables.keys() == {"SPANS", "COUNTS"}
+    for target, _ in tables["SPANS"] + tables["COUNTS"]:
+        module, _, qualname = target.partition(":")
+        owner = importlib.import_module(module)
+        cls_name, _, attr = qualname.rpartition(".")
+        if cls_name:
+            cls = getattr(owner, cls_name, None)
+            assert cls is not None and attr in vars(cls), target
+        else:
+            assert callable(getattr(owner, attr, None)), target
+    for name in ("run.py", "workloads.py"):
+        tree = ast.parse((PERFBENCH / name).read_text())
+        for home, imported, _ in _package_imports(tree):
+            module = importlib.import_module(f"turanl2.{home}" if home else "turanl2")
+            assert hasattr(module, imported), (name, home, imported)
+
+
+def test_every_error_class_is_raised_or_is_the_base_of_one_that_is():
+    bases = {
+        node.name: {base.id for base in node.bases if isinstance(base, ast.Name)}
+        for node in _tree("errors").body
+        if isinstance(node, ast.ClassDef)
+    }
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(_tree(path.stem)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    live, frontier = set(), list(raised & bases.keys())
+    while frontier:
+        name = frontier.pop()
+        if name not in live:
+            live.add(name)
+            frontier += bases[name] & bases.keys()
+    assert bases.keys() - live == set()
 
 
 def test_inequality_imports_nothing_from_hypergraph():
